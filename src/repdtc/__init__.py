@@ -29,7 +29,6 @@ from .disorder import (
     sample_error_fraction,
     sample_init_jitter,
     sample_model_params,
-    sample_uniform,
 )
 from .floquet_oracle import (
     build_2t_eigenstates,

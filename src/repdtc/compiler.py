@@ -50,18 +50,10 @@ class GadgetSequence:
     n_qubits: int
     rotations: tuple[PauliRotation, ...]
     core_indices: tuple[int, ...]
-    target: PauliString | None = None
-    theta: float | None = None
 
     def apply_to(self, state: StateVector) -> None:
         for rot in self.rotations:
             state.apply_rotation(rot)
-
-    def without_cores(self) -> "GadgetSequence":
-        kept = tuple(
-            r for i, r in enumerate(self.rotations) if i not in self.core_indices
-        )
-        return GadgetSequence(self.n_qubits, kept, ())
 
     def __len__(self) -> int:
         return len(self.rotations)
@@ -72,7 +64,6 @@ def _dressed_sequence(
     core: PauliRotation,
     dressings: Sequence[Sequence[PauliRotation]],
     target: PauliString,
-    theta: float,
 ) -> GadgetSequence:
     """Assemble D_K ... D_1 core D_1^dag ... D_K^dag in application order.
 
@@ -99,9 +90,7 @@ def _dressed_sequence(
     rotations.append(core)
     for block in dressings:
         rotations.extend(block)
-    return GadgetSequence(
-        n_qubits, tuple(rotations), (core_index,), target, theta
-    )
+    return GadgetSequence(n_qubits, tuple(rotations), (core_index,))
 
 
 def _check_pattern(target: PauliString, path: Sequence[int] | None, kind: str):
@@ -150,7 +139,7 @@ def decompose_i1(
         ]
         for k in range(1, len(path) - 1)
     ]
-    return _dressed_sequence(n, core, dressings, target, theta)
+    return _dressed_sequence(n, core, dressings, target)
 
 
 def decompose_i2(
@@ -179,7 +168,7 @@ def decompose_i2(
                 PauliRotation(PauliString.from_ops(n, {a: "Z", b: "Z"}), -QUARTER),
             ]
         )
-    return _dressed_sequence(n, core, dressings, target, theta)
+    return _dressed_sequence(n, core, dressings, target)
 
 
 def decompose_i3(
@@ -201,7 +190,7 @@ def decompose_i3(
         # Adjacent ZZ is already native; the endpoint conversion below
         # would have nothing to walk.
         rot = PauliRotation(target, theta)
-        return GadgetSequence(n, (rot,), (0,), target, theta)
+        return GadgetSequence(n, (rot,), (0,))
     core = PauliRotation(
         PauliString.from_ops(n, {path[0]: "Z", path[1]: "X"}), theta
     )
@@ -221,7 +210,7 @@ def decompose_i3(
             PauliRotation(PauliString.from_ops(n, {a: "Z", b: "X"}), QUARTER),
         ]
     )
-    return _dressed_sequence(n, core, dressings, target, theta)
+    return _dressed_sequence(n, core, dressings, target)
 
 
 def lower_ccnot_local(
@@ -348,22 +337,20 @@ class RotationCircuit:
         for rot in self.rotations:
             state.apply_rotation(rot)
 
-    def all_rotations(self):
-        return iter(self.rotations)
-
 
 def lower_program_local(program: FloquetProgram) -> RotationCircuit:
-    """Rewrite a whole program at the local-gadgets level."""
+    """Rewrite a whole program at the local-gadgets level.
+
+    Two-control ladder layers take the dedicated CCNOT expansion; every
+    other rotation is rewritten on its own.
+    """
     layout = program.layout
     rotations: list[PauliRotation] = []
     for layer in program.layers:
-        if layer.kind == "ccnot":
+        controls = layer.meta.get("controls", ())
+        if len(controls) == 2:
             seq = lower_ccnot_local(
-                layout,
-                layer.meta["controls"][0],
-                layer.meta["controls"][1],
-                layer.meta["target"],
-                layer.meta["scales"],
+                layout, *controls, layer.meta["target"], layer.meta["scales"]
             )
             rotations.extend(seq.rotations)
             continue

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ChainLayout, CnotParams, ModelParams
+from .models import ChainLayout, CnotParams, ModelParams, model_spec
 
 IDEAL_X = math.pi / 2
 IDEAL_ZX = math.pi / 4
@@ -69,13 +69,6 @@ class DisorderSpec:
         if self.half_width == 0.0:
             return self.mean
         return plan.value(realization, purpose, self.low, self.high)
-
-
-def sample_uniform(spec: DisorderSpec, stream: np.random.Generator) -> float:
-    """Uniform draw on [mean - half_width, mean + half_width]."""
-    if spec.half_width == 0.0:
-        return spec.mean
-    return float(stream.uniform(spec.low, spec.high))
 
 
 def sample_error_fraction(
@@ -152,58 +145,50 @@ class ModelDisorder:
                 )
 
 
-def _n_cnot_layers(model: str) -> int:
-    return {"u4": 1, "u4lr": 1, "u8": 1, "u3": 3}.get(model, 0)
-
-
-def _n_scale_layers(model: str, n_chains: int) -> int:
-    if model == "u8":
-        return 1
-    if model == "u2n":
-        return n_chains - 1
-    return 0
-
-
 def sample_model_params(
     disorder: ModelDisorder, plan: SeedPlan, realization: int
 ) -> ModelParams:
     """Draw one realization of every model parameter."""
     layout = disorder.layout
-    model = disorder.model
+    spec = model_spec(disorder.model)
     sites = layout.sites
 
-    def fraction(purpose: str) -> float:
-        low, high = disorder.error_fraction
-        return sample_error_fraction(
-            plan.stream(realization, purpose), low, high, disorder.error_signed
-        )
+    def gate_angles(
+        purpose: str, ideal: float, interval: DisorderSpec | None
+    ) -> np.ndarray:
+        """One angle per site: the ideal value scaled by (1 + eps) in
+        error-fraction mode, else a draw from ``interval``, else ideal."""
+        values = np.empty(sites)
+        for j in range(sites):
+            address = f"{purpose}/s{j}"
+            if disorder.error_fraction is not None:
+                low, high = disorder.error_fraction
+                stream = plan.stream(realization, address)
+                eps = sample_error_fraction(stream, low, high, disorder.error_signed)
+                values[j] = ideal * (1.0 + eps)
+            elif interval is not None:
+                values[j] = interval.draw(plan, realization, address)
+            else:
+                values[j] = ideal
+        return values
 
     couplings = np.zeros((layout.n_chains, sites - 1))
-    for c, spec in enumerate(disorder.coupling_specs):
+    for c, coupling in enumerate(disorder.coupling_specs):
         for b in range(sites - 1):
-            couplings[c][b] = spec.draw(plan, realization, f"J/c{c}/b{b}")
+            couplings[c][b] = coupling.draw(plan, realization, f"J/c{c}/b{b}")
 
     long_range = None
-    if model == "u4lr":
+    if spec.long_range:
         long_range = np.zeros((layout.n_chains, sites, sites))
-        for c, spec in enumerate(disorder.coupling_specs):
+        for c, coupling in enumerate(disorder.coupling_specs):
             for j in range(1, sites):
                 for k in range(j):
-                    long_range[c][j][k] = spec.draw(
+                    long_range[c][j][k] = coupling.draw(
                         plan, realization, f"lr/c{c}/j{j}/k{k}"
                     )
 
-    x_field = np.empty(sites)
-    for j in range(sites):
-        if disorder.error_fraction is not None:
-            x_field[j] = IDEAL_X * (1.0 + fraction(f"h/s{j}"))
-        elif disorder.x_spec is not None:
-            x_field[j] = disorder.x_spec.draw(plan, realization, f"h/s{j}")
-        else:
-            x_field[j] = IDEAL_X
-
     z_field = None
-    if disorder.z_spec is not None:
+    if spec.z_field and disorder.z_spec is not None:
         z_field = np.array(
             [
                 disorder.z_spec.draw(plan, realization, f"hz/s{j}")
@@ -212,42 +197,24 @@ def sample_model_params(
         )
 
     cnots = []
-    for i in range(_n_cnot_layers(model)):
-        comps = {}
-        for comp in ("zx", "z", "x"):
-            values = np.empty(sites)
-            for j in range(sites):
-                purpose = f"cnot{i}/{comp}/s{j}"
-                if disorder.error_fraction is not None:
-                    values[j] = CNOT_SIGNS[comp] * IDEAL_ZX * (1.0 + fraction(purpose))
-                elif disorder.cnot_spec is not None:
-                    values[j] = CNOT_SIGNS[comp] * disorder.cnot_spec.draw(
-                        plan, realization, purpose
-                    )
-                else:
-                    values[j] = CNOT_SIGNS[comp] * IDEAL_ZX
-            comps[comp] = values
-        cnots.append(CnotParams(**comps))
-
-    scales = []
-    for i in range(_n_scale_layers(model, layout.n_chains)):
-        values = np.empty(sites)
-        for j in range(sites):
-            purpose = f"scale{i}/s{j}"
-            if disorder.error_fraction is not None:
-                values[j] = 1.0 + fraction(purpose)
-            elif disorder.scale_spec is not None:
-                values[j] = disorder.scale_spec.draw(plan, realization, purpose)
-            else:
-                values[j] = 1.0
-        scales.append(values)
+    for i in range(len(spec.cnots)):
+        angles = {
+            comp: sign * gate_angles(f"cnot{i}/{comp}", IDEAL_ZX, disorder.cnot_spec)
+            for comp, sign in CNOT_SIGNS.items()
+        }
+        cnots.append(CnotParams(**angles))
+    scales = tuple(
+        gate_angles(f"scale{i}", 1.0, disorder.scale_spec)
+        for i in range(len(spec.ladder(layout.n_chains)))
+    )
+    x_field = gate_angles("h", IDEAL_X, disorder.x_spec)
 
     return ModelParams(
         couplings=couplings,
         x_field=x_field,
         z_field=z_field,
         cnots=tuple(cnots),
-        scales=tuple(scales),
+        scales=scales,
         long_range=long_range,
         alpha=disorder.alpha,
     )

@@ -23,10 +23,10 @@ import math
 
 import numpy as np
 
-from .models import ChainLayout, FloquetProgram, logical_basis_index
+from .models import MODEL_SPECS, ChainLayout, FloquetProgram, logical_basis_index
 from .statevector import StateVector
 
-ORACLE_MODELS = ("2t", "u4", "u8", "u2n")
+ORACLE_MODELS = tuple(name for name, spec in MODEL_SPECS.items() if spec.oracle)
 
 RESIDUAL_TOL = 1e-9
 
@@ -69,7 +69,7 @@ def engine_phase_correction(program: FloquetProgram) -> complex:
             phase *= (-1j) ** len(layer.rotations)
         elif layer.kind == "cnot":
             phase *= cmath.exp(1j * sites * math.pi / 4)
-        elif layer.kind in ("ccnot", "generalized"):
+        elif layer.kind == "generalized":
             phase *= layer.phase.conjugate()
     return phase
 
@@ -168,24 +168,3 @@ def build_2t_eigenstates(
         state.amplitudes[ones] = sign * cmath.exp(0.5j * alpha) / math.sqrt(2)
         states.append(state)
     return states[0], states[1]
-
-
-def logical_completeness_residual(layout: ChainLayout) -> float:
-    """How far sum_ell |e_ell><e_ell| is from fixing logical states.
-
-    Exact Fourier completeness makes this zero; returns the worst
-    deviation over all logical product inputs.
-    """
-    n = layout.n_chains
-    count = 1 << n
-    eigenstates = [build_logical_eigenstate(layout, ell) for ell in range(count)]
-    worst = 0.0
-    for j in range(count):
-        target = StateVector.basis_state(
-            layout.n_qubits, logical_basis_index(layout, j)
-        )
-        projected = np.zeros_like(target.amplitudes)
-        for eig in eigenstates:
-            projected += eig.inner(target) * eig.amplitudes
-        worst = max(worst, float(np.linalg.norm(projected - target.amplitudes)))
-    return worst

@@ -31,7 +31,7 @@ from .disorder import (
     sample_model_params,
 )
 from .models import (
-    MODELS,
+    MODEL_SPECS,
     ChainLayout,
     build_model,
     default_targets,
@@ -136,16 +136,14 @@ class ExperimentConfig:
         )
 
     def validate(self) -> None:
-        if self.model not in MODELS:
+        spec = MODEL_SPECS.get(self.model)
+        if spec is None:
             raise ConfigError(f"model: unknown model {self.model!r}")
-        expected_chains = {"2t": 1, "u4": 2, "u4lr": 2, "u3": 3, "u8": 3}
-        if self.model in expected_chains and self.chains != expected_chains[self.model]:
+        if not spec.allows(self.chains):
             raise ConfigError(
-                f"chains: model {self.model} needs {expected_chains[self.model]} "
+                f"chains: model {self.model} needs {spec.chain_rule()} "
                 f"chains, got {self.chains}"
             )
-        if self.model == "u2n" and self.chains < 2:
-            raise ConfigError("chains: u2n needs at least two chains")
         if self.sites < 2:
             raise ConfigError("sites: need at least two sites per chain")
         if self.n_qubits > MAX_QUBITS:
@@ -167,25 +165,37 @@ class ExperimentConfig:
                 f"lowering: unknown level {self.lowering!r}; "
                 f"choose from {LOWERING_LEVELS}"
             )
+        gate_specs = (
+            ("cnot", self.cnot_spec, bool(spec.cnots)),
+            ("scale", self.scale_spec, bool(spec.ladder(self.chains))),
+            ("z_field", self.z_spec, spec.z_field),
+        )
+        for section, value, used in gate_specs:
+            if value is not None and not used:
+                raise ConfigError(
+                    f"{section}: model {self.model} has no {section} "
+                    "parameters; remove the spec"
+                )
         if self.error_fraction is not None:
             low, high = self.error_fraction
             if not 0 <= low <= high:
                 raise ConfigError("error_fraction: need 0 <= low <= high")
-            if self.x_spec is not None or self.cnot_spec is not None:
+            explicit = (self.x_spec, self.cnot_spec, self.scale_spec)
+            if any(value is not None for value in explicit):
                 raise ConfigError(
-                    "error_fraction: exclusive with explicit x/cnot specs"
+                    "error_fraction: exclusive with explicit x/cnot/scale specs"
                 )
         else:
             if self.x_spec is None:
                 raise ConfigError(
                     "x_field: spec required unless error_fraction mode is on"
                 )
-            needs_cnot = self.model in ("u4", "u4lr", "u3", "u8")
-            if needs_cnot and self.cnot_spec is None:
-                raise ConfigError(f"cnot: spec required for model {self.model}")
-            needs_scale = self.model in ("u8", "u2n")
-            if needs_scale and self.scale_spec is None:
-                raise ConfigError(f"scale: spec required for model {self.model}")
+            # cnot and scale specs are required where used; z fields stay optional.
+            for section, value, used in gate_specs[:2]:
+                if used and value is None:
+                    raise ConfigError(
+                        f"{section}: spec required for model {self.model}"
+                    )
         if not 0 <= self.noise_single <= MAX_SINGLE_NOISE:
             raise ConfigError(
                 f"noise_single: must lie in [0, {MAX_SINGLE_NOISE}]"
@@ -845,7 +855,13 @@ def apply_overrides(
 ) -> ExperimentConfig:
     """CLI/env overrides; the seed env var loses to an explicit seed."""
     if seed is None and ENV_SEED in os.environ:
-        seed = int(os.environ[ENV_SEED])
+        try:
+            seed = int(os.environ[ENV_SEED])
+        except ValueError:
+            raise ConfigError(
+                f"{ENV_SEED}: expected an integer seed, got "
+                f"{os.environ[ENV_SEED]!r}"
+            ) from None
     updates = {}
     if seed is not None:
         updates["seed"] = seed

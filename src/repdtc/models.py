@@ -7,14 +7,8 @@ Layers are stored in application order (the layer written rightmost in
 operator notation comes first).  Every rotation uses the exp(-i*theta*P)
 convention, so the stabilizer layer carries angles -J.
 
-Registered models:
-
-* ``u4``   two chains, period-4 logical cycle
-* ``u4lr`` two chains with power-law long-range stabilizer couplings
-* ``u3``   three chains driven by three CNOTs, period-3 logical cycles
-* ``u8``   three chains with a CCNOT on top, period-8 logical cycle
-* ``u2n``  n chains with the full generalized-CNOT ladder, period 2**n
-* ``2t``   single-chain reference model with longitudinal fields
+Each registered model is one ``ModelSpec`` row of ``MODEL_SPECS``; every
+other module reads its model facts from there.
 """
 
 from __future__ import annotations
@@ -22,13 +16,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .pauli import PauliRotation, PauliString, all_commute
-
-MODELS = ("u4", "u4lr", "u3", "u8", "u2n", "2t")
 
 
 @dataclass(frozen=True)
@@ -106,10 +98,10 @@ class ModelParams:
     """Disorder-resolved parameters of one Floquet operator.
 
     couplings[c][b] is the Ising coupling on bond b of chain c.  The
-    optional blocks are consumed by the models that need them: x_field
-    by every model, z_field by ``2t``, cnots by the CNOT layers in
-    application order, scales by CCNOT/generalized layers in application
-    order, long_range (with exponent alpha) by ``u4lr``.
+    optional blocks are consumed as the model's ``ModelSpec`` says:
+    x_field by every model, z_field by z-field models, cnots by the CNOT
+    layers and scales by the generalized layers, both in application
+    order, long_range (with exponent alpha) by long-range models.
     """
 
     couplings: np.ndarray
@@ -137,9 +129,8 @@ class Layer:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        assert all_commute(self.rotations), (
-            f"layer {self.name!r} contains non-commuting rotations"
-        )
+        if not all_commute(self.rotations):
+            raise ValueError(f"layer {self.name!r} contains non-commuting rotations")
 
 
 @dataclass(frozen=True)
@@ -194,8 +185,13 @@ class FloquetProgram:
 # -- layer builders --------------------------------------------------------
 
 
-def build_h_rep_layer(layout: ChainLayout, couplings: np.ndarray) -> Layer:
-    """exp(+i sum_{c,b} J[c][b] Z Z) over nearest-neighbor bonds."""
+def build_h_rep_layer(
+    layout: ChainLayout, couplings: np.ndarray, z_field: np.ndarray | None = None
+) -> Layer:
+    """exp(+i sum_{c,b} J[c][b] Z Z) over nearest-neighbor bonds.
+
+    Optional longitudinal fields hz add exp(+i sum_j hz[j] Z_j) on chain 0.
+    """
     couplings = np.asarray(couplings, dtype=float)
     if couplings.shape != (layout.n_chains, layout.sites - 1):
         raise ValueError("couplings must have shape (n_chains, sites-1)")
@@ -207,6 +203,13 @@ def build_h_rep_layer(layout: ChainLayout, couplings: np.ndarray) -> Layer:
                 n, {layout.qubit(c, b): "Z", layout.qubit(c, b + 1): "Z"}
             )
             rotations.append(PauliRotation(pauli, -float(couplings[c][b])))
+    if z_field is not None:
+        z_field = np.asarray(z_field, dtype=float)
+        if z_field.shape != (layout.sites,):
+            raise ValueError("z_field needs one entry per site")
+        for j in range(layout.sites):
+            pauli = PauliString.from_ops(n, {layout.qubit(0, j): "Z"})
+            rotations.append(PauliRotation(pauli, -float(z_field[j])))
     return Layer("stabilizer", "stabilizer", tuple(rotations))
 
 
@@ -284,19 +287,6 @@ def build_transversal_cnot_layer(
     )
 
 
-# (sign, control letters applied, X on target?) for the 7 non-identity
-# terms of (1 - Z_a)(1 - Z_b)(1 - X_t).
-_CCNOT_TERMS = (
-    (-1, ("a",), False),
-    (-1, ("b",), False),
-    (-1, (), True),
-    (+1, ("a", "b"), False),
-    (+1, ("a",), True),
-    (+1, ("b",), True),
-    (-1, ("a", "b"), True),
-)
-
-
 def build_transversal_ccnot_layer(
     layout: ChainLayout,
     control_a: int,
@@ -306,43 +296,9 @@ def build_transversal_ccnot_layer(
 ) -> Layer:
     """Sitewise exp(-i g (pi/8) (1 - Z_a)(1 - Z_b)(1 - X_t)).
 
-    The expansion has eight Pauli terms; the identity term only
-    contributes the recorded layer phase exp(-i g pi/8) per site.
+    The two-control case of ``build_generalized_cnot_layer``.
     """
-    scales = np.asarray(scales, dtype=float)
-    if scales.shape != (layout.sites,):
-        raise ValueError("scales must have one entry per site")
-    if len({control_a, control_b, target}) != 3:
-        raise ValueError("CCNOT chains must be distinct")
-    n = layout.n_qubits
-    rotations = []
-    phase = 1.0 + 0j
-    for j in range(layout.sites):
-        base = float(scales[j]) * math.pi / 8
-        qubit_of = {
-            "a": layout.qubit(control_a, j),
-            "b": layout.qubit(control_b, j),
-        }
-        qt = layout.qubit(target, j)
-        phase *= complex(math.cos(base), -math.sin(base))
-        for sign, controls, has_x in _CCNOT_TERMS:
-            ops = {qubit_of[c]: "Z" for c in controls}
-            if has_x:
-                ops[qt] = "X"
-            rotations.append(
-                PauliRotation(PauliString.from_ops(n, ops), sign * base)
-            )
-    return Layer(
-        f"ccnot-{control_a}{control_b}-{target}",
-        "ccnot",
-        tuple(rotations),
-        phase,
-        meta={
-            "controls": (control_a, control_b),
-            "target": target,
-            "scales": scales,
-        },
-    )
+    return build_generalized_cnot_layer(layout, (control_a, control_b), target, scales)
 
 
 def build_generalized_cnot_layer(
@@ -393,7 +349,85 @@ def build_generalized_cnot_layer(
     )
 
 
-# -- model assembly ---------------------------------------------------------
+# -- model registry -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Everything the package knows about one Floquet model.
+
+    One period is the stabilizer layer, the X drive on chain 0, one
+    transversal CNOT layer per ``cnots`` pair (control, target) in
+    application order, then one generalized-CNOT layer per
+    ``ladder(n_chains)`` entry (controls, target).  ``chains`` is the
+    fixed chain count, or None for "at least two".
+    """
+
+    chains: int | None
+    period: Callable[[int], int]
+    readout: Callable[[int], int | None]
+    cnots: tuple[tuple[int, int], ...] = ()
+    ladder: Callable[[int], tuple[tuple[tuple[int, ...], int], ...]] = lambda n: ()
+    long_range: bool = False
+    z_field: bool = False
+    oracle: bool = False
+
+    def allows(self, n_chains: int) -> bool:
+        if self.chains is None:
+            return n_chains >= 2
+        return n_chains == self.chains
+
+    def chain_rule(self) -> str:
+        return "at least 2" if self.chains is None else f"exactly {self.chains}"
+
+
+# Readout chain: under the decrement action chain k flips with period
+# 2^(k+1), so the full average of a counter model mixes every harmonic and
+# the fastest chain dominates it.  The last chain's own series is
+# antiperiodic under a half-period shift, which cancels all faster lines
+# exactly and leaves the 2^n T response on top.  For u3 no chain is fast
+# (one register never flips, the other two share the 3T line), and for 2t
+# there is only one chain; both read out the plain average (None).
+MODEL_SPECS: dict[str, ModelSpec] = {
+    # two chains, period-4 logical cycle
+    "u4": ModelSpec(2, lambda n: 4, lambda n: 1, cnots=((0, 1),), oracle=True),
+    # u4 with power-law long-range stabilizer couplings
+    "u4lr": ModelSpec(
+        2, lambda n: 4, lambda n: 1, cnots=((0, 1),), long_range=True
+    ),
+    # three chains driven by three CNOTs, period-3 logical cycles; the
+    # application order is 2 -> 1, then 0 -> 1, then 1 -> 0
+    "u3": ModelSpec(
+        3, lambda n: 3, lambda n: None, cnots=((2, 1), (0, 1), (1, 0))
+    ),
+    # three chains with a CCNOT on top, period-8 logical cycle
+    "u8": ModelSpec(
+        3,
+        lambda n: 8,
+        lambda n: 2,
+        cnots=((0, 1),),
+        ladder=lambda n: (((0, 1), 2),),
+        oracle=True,
+    ),
+    # n chains with the full generalized-CNOT ladder, period 2**n
+    "u2n": ModelSpec(
+        None,
+        lambda n: 2**n,
+        lambda n: n - 1,
+        ladder=lambda n: tuple((tuple(range(j)), j) for j in range(1, n)),
+        oracle=True,
+    ),
+    # single-chain period-doubling reference with longitudinal fields
+    "2t": ModelSpec(1, lambda n: 2, lambda n: None, z_field=True, oracle=True),
+}
+MODELS = tuple(MODEL_SPECS)
+
+
+def model_spec(model: str) -> ModelSpec:
+    """The registry row of ``model``; unknown names raise ValueError."""
+    if model not in MODEL_SPECS:
+        raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
+    return MODEL_SPECS[model]
 
 
 def _require(condition: bool, message: str) -> None:
@@ -405,82 +439,31 @@ def build_model(
     model: str, layout: ChainLayout, params: ModelParams
 ) -> FloquetProgram:
     """Assemble one driving period for a registered model."""
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
-    layers: list[Layer] = []
-
-    if model == "2t":
-        _require(layout.n_chains == 1, "2t model is a single chain")
-        couplings = np.asarray(params.couplings, dtype=float)
-        stab = list(build_h_rep_layer(layout, couplings).rotations)
-        if params.z_field is not None:
-            z_field = np.asarray(params.z_field, dtype=float)
-            _require(z_field.shape == (layout.sites,), "z_field needs one entry per site")
-            n = layout.n_qubits
-            for j in range(layout.sites):
-                stab.append(
-                    PauliRotation(
-                        PauliString.from_ops(n, {layout.qubit(0, j): "Z"}),
-                        -float(z_field[j]),
-                    )
-                )
-        layers.append(Layer("stabilizer", "stabilizer", tuple(stab)))
-        layers.append(build_logical_x_layer(layout, params.x_field))
-        return FloquetProgram(layout, model, tuple(layers))
-
-    if model in ("u4", "u4lr"):
-        _require(layout.n_chains == 2, f"{model} model needs exactly two chains")
-        _require(len(params.cnots) == 1, f"{model} model needs one CNOT parameter set")
-        if model == "u4lr":
-            _require(params.long_range is not None, "u4lr needs long_range couplings")
-            layers.append(
-                build_long_range_stabilizer_layer(
-                    layout, params.long_range, params.alpha
-                )
-            )
-        else:
-            layers.append(build_h_rep_layer(layout, params.couplings))
-        layers.append(build_logical_x_layer(layout, params.x_field))
-        layers.append(build_transversal_cnot_layer(layout, 0, 1, params.cnots[0]))
-        return FloquetProgram(layout, model, tuple(layers))
-
-    if model == "u3":
-        _require(layout.n_chains == 3, "u3 model needs exactly three chains")
-        _require(len(params.cnots) == 3, "u3 model needs three CNOT parameter sets")
-        layers.append(build_h_rep_layer(layout, params.couplings))
-        layers.append(build_logical_x_layer(layout, params.x_field))
-        # Application order: control 2 -> target 1, then 0 -> 1, then 1 -> 0.
-        for (control, target), cp in zip(((2, 1), (0, 1), (1, 0)), params.cnots):
-            layers.append(build_transversal_cnot_layer(layout, control, target, cp))
-        return FloquetProgram(layout, model, tuple(layers))
-
-    if model == "u8":
-        _require(layout.n_chains == 3, "u8 model needs exactly three chains")
-        _require(len(params.cnots) == 1, "u8 model needs one CNOT parameter set")
-        _require(len(params.scales) == 1, "u8 model needs one CCNOT scale array")
-        layers.append(build_h_rep_layer(layout, params.couplings))
-        layers.append(build_logical_x_layer(layout, params.x_field))
-        layers.append(build_transversal_cnot_layer(layout, 0, 1, params.cnots[0]))
-        layers.append(
-            build_transversal_ccnot_layer(layout, 0, 1, 2, params.scales[0])
-        )
-        return FloquetProgram(layout, model, tuple(layers))
-
-    # u2n
+    spec = model_spec(model)
     n = layout.n_chains
-    _require(n >= 2, "u2n model needs at least two chains")
+    _require(spec.allows(n), f"{model} model needs {spec.chain_rule()} chains")
+    ladder = spec.ladder(n)
     _require(
-        len(params.scales) == n - 1,
-        "u2n model needs one scale array per generalized layer",
+        len(params.cnots) == len(spec.cnots),
+        f"{model} model needs {len(spec.cnots)} CNOT parameter sets",
     )
-    layers.append(build_h_rep_layer(layout, params.couplings))
-    layers.append(build_logical_x_layer(layout, params.x_field))
-    for j in range(1, n):
-        layers.append(
-            build_generalized_cnot_layer(
-                layout, tuple(range(j)), j, params.scales[j - 1]
-            )
+    _require(
+        len(params.scales) == len(ladder),
+        f"{model} model needs {len(ladder)} generalized-layer scale arrays",
+    )
+    if spec.long_range:
+        _require(params.long_range is not None, f"{model} needs long_range couplings")
+        stabilizer = build_long_range_stabilizer_layer(
+            layout, params.long_range, params.alpha
         )
+    else:
+        z_field = params.z_field if spec.z_field else None
+        stabilizer = build_h_rep_layer(layout, params.couplings, z_field)
+    layers = [stabilizer, build_logical_x_layer(layout, params.x_field)]
+    for (control, target), cp in zip(spec.cnots, params.cnots):
+        layers.append(build_transversal_cnot_layer(layout, control, target, cp))
+    for (controls, target), scales in zip(ladder, params.scales):
+        layers.append(build_generalized_cnot_layer(layout, controls, target, scales))
     return FloquetProgram(layout, model, tuple(layers))
 
 
@@ -493,30 +476,23 @@ def ideal_model_params(
     alpha: float = 1.5,
 ) -> ModelParams:
     """ModelParams with ideal gate angles and the given Ising couplings."""
+    spec = model_spec(model)
     if np.isscalar(couplings):
         couplings = np.full((layout.n_chains, layout.sites - 1), float(couplings))
     couplings = np.asarray(couplings, dtype=float)
     sites = layout.sites
-    x_field = np.full(sites, math.pi / 2)
     quarter = math.pi / 4
     ideal_cnot = CnotParams(
         zx=np.full(sites, quarter),
         z=np.full(sites, -quarter),
         x=np.full(sites, -quarter),
     )
-    n_cnots = {"u4": 1, "u4lr": 1, "u8": 1, "u3": 3}.get(model, 0)
-    if model == "u8":
-        scales: tuple[np.ndarray, ...] = (np.ones(sites),)
-    elif model == "u2n":
-        scales = tuple(np.ones(sites) for _ in range(layout.n_chains - 1))
-    else:
-        scales = ()
     return ModelParams(
         couplings=couplings,
-        x_field=x_field,
+        x_field=np.full(sites, math.pi / 2),
         z_field=z_field,
-        cnots=tuple(ideal_cnot for _ in range(n_cnots)),
-        scales=scales,
+        cnots=tuple(ideal_cnot for _ in spec.cnots),
+        scales=tuple(np.ones(sites) for _ in spec.ladder(layout.n_chains)),
         long_range=long_range,
         alpha=alpha,
     )
@@ -524,15 +500,7 @@ def ideal_model_params(
 
 def model_period(model: str, n_chains: int) -> int:
     """Subharmonic period in driving cycles of the ideal logical dynamics."""
-    if model == "u3":
-        return 3
-    if model == "2t":
-        return 2
-    if model in ("u4", "u4lr"):
-        return 4
-    if model == "u8":
-        return 8
-    return 2**n_chains
+    return model_spec(model).period(n_chains)
 
 
 def default_targets(model: str, n_chains: int) -> tuple[float, ...]:
@@ -548,18 +516,7 @@ def default_targets(model: str, n_chains: int) -> tuple[float, ...]:
 def readout_chain(model: str, n_chains: int) -> int | None:
     """Chain whose magnetization isolates the slowest subharmonic.
 
-    Under the decrement action chain k flips with period 2^(k+1), so the
-    full average of a counter model mixes every harmonic and the fastest
-    chain dominates it.  The last chain's own series is antiperiodic
-    under a half-period shift, which cancels all faster lines exactly
-    and leaves the 2^n T response on top.  For u3 no chain is fast (one
-    register never flips, the other two share the 3T line), and for 2t
-    there is only one chain; both read out the plain average (None).
+    None means the plain chain average; the reason for each model sits
+    beside ``MODEL_SPECS``.
     """
-    if model in ("u4", "u4lr"):
-        return 1
-    if model == "u8":
-        return 2
-    if model == "u2n":
-        return n_chains - 1
-    return None
+    return model_spec(model).readout(n_chains)

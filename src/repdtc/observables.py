@@ -44,15 +44,6 @@ class TimeSeries:
     def cycles(self) -> int:
         return len(self.values) - 1
 
-    def scoped(self, qubits) -> "TimeSeries":
-        """Mean series over a subset of qubits; needs the per-qubit data."""
-        if self.qubit_values is None:
-            raise ValueError("series was recorded without per-qubit values")
-        qubits = list(qubits)
-        meta = dict(self.meta)
-        meta["qubit_scope"] = qubits
-        return TimeSeries(self.qubit_values[qubits].mean(axis=0), meta)
-
 
 @dataclass
 class Spectrum:

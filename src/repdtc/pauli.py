@@ -140,8 +140,8 @@ def clifford_conjugate(
     For anticommuting generator and target the image is
     i*sign*generator*target; commuting targets pass through untouched.
     Returns (image, moved) where ``moved`` records whether anything
-    happened.  The image of a Hermitian target is Hermitian, which is
-    asserted since every caller relies on it.
+    happened.  The image of a Hermitian target is Hermitian; every caller
+    relies on it, so a non-Hermitian image raises ValueError.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -153,7 +153,8 @@ def clifford_conjugate(
     # i * sign shifts the phase exponent by 1 (sign +1) or 3 (sign -1).
     power = (product.phase_power + (1 if sign == 1 else 3)) % 4
     result = PauliString(product.letters, power)
-    assert result.is_hermitian(), "conjugation of a Hermitian string went non-Hermitian"
+    if not result.is_hermitian():
+        raise ValueError("conjugation of a Hermitian string went non-Hermitian")
     return result, True
 
 

@@ -238,17 +238,6 @@ class StateVector:
         hits = int(rng.binomial(shots, p_plus))
         return (2 * hits - shots) / shots
 
-    # -- IO ----------------------------------------------------------------
-
-    def save_amplitudes(self, path) -> None:
-        """Raw little-endian complex128 dump in basis order."""
-        self.amplitudes.astype("<c16").tofile(path)
-
-    @classmethod
-    def load_amplitudes(cls, path, n_qubits: int) -> "StateVector":
-        amps = np.fromfile(path, dtype="<c16")
-        return cls(n_qubits, amps)
-
     def _check_qubit(self, q: int) -> None:
         if not 0 <= q < self.n_qubits:
             raise ValueError(f"qubit {q} outside register of size {self.n_qubits}")

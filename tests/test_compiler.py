@@ -125,8 +125,14 @@ class TestGadgets:
 
     def test_without_cores_collapses_to_identity(self):
         target = PauliString.from_ops(4, {0: "Z", 3: "X"})
-        seq = decompose_i2(target, 0.9).without_cores()
-        got = gadget_unitary(seq)
+        seq = decompose_i2(target, 0.9)
+
+        def apply_dressings(state):
+            for i, rot in enumerate(seq.rotations):
+                if i not in seq.core_indices:
+                    state.apply_rotation(rot)
+
+        got = circuit_unitary(apply_dressings, 4)
         assert np.allclose(got, np.eye(16), atol=1e-12)
 
     def test_explicit_path_routing(self):

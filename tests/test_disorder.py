@@ -15,7 +15,6 @@ from repdtc.disorder import (
     sample_error_fraction,
     sample_init_jitter,
     sample_model_params,
-    sample_uniform,
 )
 
 
@@ -68,13 +67,6 @@ class TestDisorderSpec:
     def test_rejects_negative_width(self):
         with pytest.raises(ValueError):
             DisorderSpec(1.0, -0.1)
-
-    def test_sample_uniform_matches_interval(self):
-        spec = DisorderSpec(0.0, 1.0)
-        stream = np.random.default_rng(3)
-        draws = [sample_uniform(spec, stream) for _ in range(500)]
-        assert min(draws) >= -1.0 and max(draws) <= 1.0
-        assert abs(np.mean(draws)) < 0.1
 
 
 class TestErrorFraction:

@@ -13,7 +13,6 @@ from repdtc.floquet_oracle import (
     build_logical_eigenstate,
     check_quasienergy_spectrum,
     engine_phase_correction,
-    logical_completeness_residual,
     predicted_quasienergy,
 )
 from repdtc.models import ideal_model_params, logical_basis_index
@@ -55,8 +54,17 @@ class TestLogicalEigenstates:
             assert amps[j] == pytest.approx(0.5 * cmath.exp(1j * j * math.pi / 2))
 
     def test_completeness(self):
-        assert logical_completeness_residual(ChainLayout(2, 3)) < 1e-12
-        assert logical_completeness_residual(ChainLayout(3, 2)) < 1e-12
+        # sum_ell |e_ell><e_ell| is the identity on the logical subspace.
+        for layout in (ChainLayout(2, 3), ChainLayout(3, 2)):
+            count = 1 << layout.n_chains
+            logical = [logical_basis_index(layout, j) for j in range(count)]
+            rows = np.array(
+                [
+                    build_logical_eigenstate(layout, ell).amplitudes[logical]
+                    for ell in range(count)
+                ]
+            )
+            assert np.allclose(rows.T @ rows.conj(), np.eye(count), atol=1e-12)
 
 
 class TestPredictedQuasienergy:

@@ -96,6 +96,46 @@ class TestValidation:
             cfg.validate()
         replace(cfg, scale_spec=DisorderSpec(1.0, 0.0)).validate()
 
+    def test_unused_gate_specs_are_rejected(self):
+        # Sections whose parameters each model never reads.
+        unused = {
+            "u4": {"scale", "z_field"},
+            "u4lr": {"scale", "z_field"},
+            "u3": {"scale", "z_field"},
+            "u8": {"z_field"},
+            "u2n": {"cnot", "z_field"},
+            "2t": {"cnot", "scale"},
+        }
+        chains = {"u4": 2, "u4lr": 2, "u3": 3, "u8": 3, "u2n": 2, "2t": 1}
+        spec = DisorderSpec(1.0, 0.0)
+        for model, sections in unused.items():
+            base = small_config(
+                model=model,
+                chains=chains[model],
+                cycles=48,
+                coupling_specs=(spec,) * chains[model],
+                error_fraction=None,
+                x_spec=DisorderSpec(math.pi / 2, 0.0),
+                cnot_spec=None if "cnot" in sections else spec,
+                scale_spec=None if "scale" in sections else spec,
+            )
+            base.validate()
+            for section, field in (
+                ("cnot", "cnot_spec"),
+                ("scale", "scale_spec"),
+                ("z_field", "z_spec"),
+            ):
+                config = replace(base, **{field: spec})
+                if section in sections:
+                    with pytest.raises(ConfigError, match=f"^{section}:"):
+                        config.validate()
+                else:
+                    config.validate()
+        # Error-fraction mode draws the scales itself, so a scale spec
+        # beside it would be ignored.
+        with pytest.raises(ConfigError, match="^error_fraction:"):
+            replace(PRESETS["fig5a"], scale_spec=spec).validate()
+
     def test_capacity_error_past_qubit_limit(self):
         cfg = small_config(sites=13)
         with pytest.raises(CapacityError):
@@ -434,6 +474,12 @@ class TestCli:
         assert "subharmonic score" in printed
         assert "chain 1 readout" in printed
         assert (out / "record.json").exists()
+
+    def test_run_bad_env_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv(ENV_SEED, "x")
+        assert cli.main(["run", "ideal-u4"]) == 2
+        err = capsys.readouterr().err
+        assert ENV_SEED in err and "Traceback" not in err
 
     def test_run_respects_env_seed(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "tiny.cfg"

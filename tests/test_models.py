@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repdtc
 from repdtc import (
     ChainLayout,
     StateVector,
@@ -10,7 +16,11 @@ from repdtc import (
     ideal_model_params,
     logical_basis_index,
 )
+from repdtc.disorder import DisorderSpec, ModelDisorder, SeedPlan, sample_model_params
+from repdtc.floquet_oracle import check_quasienergy_spectrum
+from repdtc.harness import ConfigError, ExperimentConfig
 from repdtc.models import (
+    MODEL_SPECS,
     CnotParams,
     build_generalized_cnot_layer,
     build_h_rep_layer,
@@ -158,15 +168,6 @@ class TestTransversalGates:
         layout = ChainLayout(3, 2)
         layer = build_transversal_ccnot_layer(layout, 0, 1, 2, np.ones(2))
         assert len(layer.rotations) == 14
-
-    def test_generalized_matches_ccnot_at_j2(self):
-        layout = ChainLayout(3, 1)
-        a = build_generalized_cnot_layer(layout, (0, 1), 2, np.ones(1))
-        b = build_transversal_ccnot_layer(layout, 0, 1, 2, np.ones(1))
-        angles_a = sorted((str(r.pauli), round(r.angle, 15)) for r in a.rotations)
-        angles_b = sorted((str(r.pauli), round(r.angle, 15)) for r in b.rotations)
-        assert angles_a == angles_b
-        assert a.phase == pytest.approx(b.phase)
 
     def test_generalized_three_controls_equals_dense(self):
         layout = ChainLayout(4, 1)
@@ -329,3 +330,93 @@ class TestProgramSerialization:
         assert len(doc["layers"]) == 3
         total = sum(len(layer["rotations"]) for layer in doc["layers"])
         assert total == len(list(program.all_rotations()))
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_SPECS))
+def test_registry_entry_drives_every_reader(model):
+    """Each ModelSpec row, at its smallest legal layout, is what the
+    builder, the sampler, the config check and the oracle act on."""
+    spec = MODEL_SPECS[model]
+    chains = 2 if spec.chains is None else spec.chains
+    layout = ChainLayout(chains, 2)
+    ladder = spec.ladder(chains)
+
+    long_range = np.ones((chains, 2, 2)) if spec.long_range else None
+    params = ideal_model_params(model, layout, long_range=long_range)
+    program = build_model(model, layout, params)
+    stabilizer = "stabilizer-lr" if spec.long_range else "stabilizer"
+    kinds = [layer.kind for layer in program.layers]
+    assert len(kinds) == 2 + len(spec.cnots) + len(ladder)
+    assert kinds == [stabilizer, "x"] + ["cnot"] * len(spec.cnots) + [
+        "generalized"
+    ] * len(ladder)
+    cnot_pairs = [
+        (layer.meta["control"], layer.meta["target"])
+        for layer in program.layers
+        if layer.kind == "cnot"
+    ]
+    assert cnot_pairs == list(spec.cnots)
+    ladder_entries = [
+        (layer.meta["controls"], layer.meta["target"])
+        for layer in program.layers
+        if layer.kind == "generalized"
+    ]
+    assert ladder_entries == list(ladder)
+
+    couplings = tuple(DisorderSpec(1.0, 0.5) for _ in range(chains))
+    disorder = ModelDisorder(model, layout, couplings, error_fraction=(0.05, 0.1))
+    sampled = sample_model_params(disorder, SeedPlan(3), 0)
+    assert len(sampled.cnots) == len(spec.cnots)
+    assert len(sampled.scales) == len(ladder)
+
+    config = ExperimentConfig(
+        name=model,
+        model=model,
+        chains=chains,
+        sites=2,
+        realizations=1,
+        cycles=2 * spec.period(chains),
+        seed=1,
+        coupling_specs=couplings,
+        error_fraction=(0.05, 0.1),
+    )
+    config.validate()
+    off_rule = 1 if spec.chains is None else spec.chains + 1
+    with pytest.raises(ConfigError, match="^chains:"):
+        replace(config, chains=off_rule).validate()
+
+    if spec.oracle:
+        assert check_quasienergy_spectrum(program, params.couplings)["passed"]
+
+
+def test_invariant_checks_survive_optimized_mode():
+    """Under python -O a layer of non-commuting rotations and a
+    non-Hermitian conjugation image still raise ValueError."""
+    code = """
+from repdtc.models import Layer
+from repdtc.pauli import PauliRotation, PauliString, clifford_conjugate
+
+rots = tuple(PauliRotation(PauliString.from_ops(1, {0: p}), 0.1) for p in "XZ")
+try:
+    Layer("clash", "x", rots)
+except ValueError:
+    pass
+else:
+    raise SystemExit("layer with X and Z on one qubit was accepted")
+try:
+    clifford_conjugate(PauliString(("Z",)), 1, PauliString(("X",), 1))
+except ValueError:
+    pass
+else:
+    raise SystemExit("non-Hermitian conjugation image was accepted")
+"""
+    src = str(Path(repdtc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -77,18 +77,6 @@ class TestTimeSeries:
         series = TimeSeries(np.zeros(11))
         assert series.cycles == 10
 
-    def test_scoped_requires_per_qubit_data(self):
-        series = TimeSeries(np.zeros(5))
-        with pytest.raises(ValueError):
-            series.scoped([0])
-
-    def test_scoped_means_selected_rows(self):
-        qv = np.array([[1.0, 1.0], [0.0, -1.0], [0.5, 0.5]])
-        series = TimeSeries(qv.mean(axis=0), qubit_values=qv)
-        sub = series.scoped([0, 2])
-        assert np.allclose(sub.values, [0.75, 0.75])
-        assert sub.meta["qubit_scope"] == [0, 2]
-
 
 class TestStroboscopicRun:
     def test_period_doubled_magnetization(self):
@@ -102,8 +90,6 @@ class TestStroboscopicRun:
         series = stroboscopic_run(FlipCircuit(3), state, 4, per_qubit=True)
         assert series.qubit_values.shape == (3, 5)
         assert np.allclose(series.qubit_values.mean(axis=0), series.values)
-        scoped = series.scoped([1])
-        assert np.allclose(scoped.values, series.qubit_values[1])
 
     def test_single_qubit_measurement(self):
         state = prepare_initial_state(2)
