@@ -17,7 +17,7 @@ angles +-pi/4 while the core rotation carries theta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -382,24 +382,40 @@ class NativeGate:
 
 
 _ROTATION_LETTER = {"RX": "X", "RY": "Y", "RZ": "Z"}
-_PAULI_CACHE: dict[tuple[int, str, int], PauliString] = {}
-
-
-def _single_pauli(n: int, letter: str, qubit: int) -> PauliString:
-    key = (n, letter, qubit)
-    got = _PAULI_CACHE.get(key)
-    if got is None:
-        got = PauliString.from_ops(n, {qubit: letter})
-        _PAULI_CACHE[key] = got
-    return got
 
 
 @dataclass(frozen=True)
 class NativeCircuit:
-    """Ordered native gate list; one instance stands for one period."""
+    """Ordered native gate list; one instance stands for one period.
+
+    The gates are compiled once, at construction, into flat per-gate
+    data: the generator of each rotation, the qubits and direction of
+    each iSWAP, the base angles, and which gates are iSWAPs.
+    """
 
     n_qubits: int
     gates: tuple[NativeGate, ...]
+    _ops: tuple = field(init=False, repr=False, compare=False)
+    _angles: np.ndarray = field(init=False, repr=False, compare=False)
+    _iswaps: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ops = []
+        for gate in self.gates:
+            if gate.name in ("ISWAP", "ISWAPINV"):
+                ops.append((None, *gate.qubits, gate.name == "ISWAPINV"))
+            else:
+                letter = _ROTATION_LETTER[gate.name]
+                pauli = PauliString.from_ops(self.n_qubits, {gate.qubits[0]: letter})
+                ops.append((pauli, None, None, False))
+        iswaps = np.array([pauli is None for pauli, *_ in ops], dtype=bool)
+        angles = np.array(
+            [QUARTER if gate.angle is None else gate.angle for gate in self.gates],
+            dtype=float,
+        )
+        object.__setattr__(self, "_ops", tuple(ops))
+        object.__setattr__(self, "_angles", angles)
+        object.__setattr__(self, "_iswaps", iswaps)
 
     def apply_to(
         self,
@@ -413,29 +429,22 @@ class NativeCircuit:
 
         Rotation angles are scaled by (1 + eps) with eps uniform within
         +-single_error; iSWAP angles likewise within +-iswap_error.
-        Noise requires an rng.
+        Noise requires an rng.  One cycle's noise is one vector draw over
+        the noisy gates in gate order, which consumes the stream exactly
+        as one scalar draw per gate would.
         """
-        noisy = single_error > 0.0 or iswap_error > 0.0
-        if noisy and rng is None:
-            raise ValueError("temporal noise needs a random stream")
-        for gate in self.gates:
-            if gate.name in ("ISWAP", "ISWAPINV"):
-                angle = QUARTER
-                if noisy and iswap_error > 0.0:
-                    angle *= 1.0 + rng.uniform(-iswap_error, iswap_error)
-                state.apply_iswap(
-                    gate.qubits[0],
-                    gate.qubits[1],
-                    inverse=gate.name == "ISWAPINV",
-                    angle=angle,
-                )
+        angles = self._angles
+        if single_error > 0.0 or iswap_error > 0.0:
+            if rng is None:
+                raise ValueError("temporal noise needs a random stream")
+            widths = np.where(self._iswaps, iswap_error, single_error)
+            noisy = widths > 0.0
+            angles = angles.copy()
+            angles[noisy] *= 1.0 + rng.uniform(-widths[noisy], widths[noisy])
+        for (pauli, a, b, inverse), angle in zip(self._ops, angles.tolist()):
+            if pauli is None:
+                state.apply_iswap(a, b, inverse=inverse, angle=angle)
             else:
-                angle = gate.angle
-                if noisy and single_error > 0.0:
-                    angle *= 1.0 + rng.uniform(-single_error, single_error)
-                pauli = _single_pauli(
-                    state.n_qubits, _ROTATION_LETTER[gate.name], gate.qubits[0]
-                )
                 state.apply_rotation(PauliRotation(pauli, angle))
 
     def to_text(self) -> str:

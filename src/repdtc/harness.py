@@ -53,8 +53,14 @@ from .statevector import MAX_QUBITS
 MAX_SINGLE_NOISE = 0.005
 MAX_ISWAP_NOISE = 0.04
 MAX_ESTIMATED_SECONDS = 4 * 3600.0
-# Rough per-amplitude cost of one rotation or gate, pessimistic.
-_SECONDS_PER_AMP_OP = 3e-8
+# Cost of one kernel call (a gate, or the readout of one qubit): a fixed
+# part plus a part per amplitude of the register.  Fitted to the kernel
+# table on a 2-core Xeon with numpy 2.4 so that the three benchmark
+# workloads (8, 12 and 16 qubits) come out 1.2-1.5x above their
+# one-worker wall time.  Multi-qubit gathers cost 3-5x the per-amplitude
+# part from 16 qubits on, where no preset uses them.
+_SECONDS_PER_CALL = 1.05e-5
+_SECONDS_PER_AMP_OP = 6.5e-9
 
 ENV_SEED = "REPDTC_SEED"
 
@@ -470,18 +476,25 @@ def _ops_per_period(circuit) -> int:
     return sum(len(layer.rotations) for layer in circuit.layers)
 
 
-def estimate_seconds(config: ExperimentConfig) -> float:
-    """Pessimistic wall-time estimate from one sampled realization."""
-    plan = SeedPlan(config.seed)
-    params = sample_model_params(config.to_model_disorder(), plan, 0)
+def _build_realization(config: ExperimentConfig, plan: SeedPlan, realization: int):
+    """(program, circuit) of one realization: sample, build, lower."""
+    params = sample_model_params(config.to_model_disorder(), plan, realization)
     program = build_model(config.model, config.layout, params)
-    circuit = lower_program(program, config.lowering)
-    ops = _ops_per_period(circuit)
-    amps = 1 << config.n_qubits
-    per_cycle = ops * amps * _SECONDS_PER_AMP_OP
+    return program, lower_program(program, config.lowering)
+
+
+def estimate_seconds(config: ExperimentConfig, circuit=None) -> float:
+    """Pessimistic wall-time estimate at one worker.
+
+    ``circuit`` is realization 0's lowered circuit; it is built here
+    when not given.
+    """
+    if circuit is None:
+        _, circuit = _build_realization(config, SeedPlan(config.seed), 0)
     measured = config.n_qubits if config.measure_qubit is None else 1
-    per_cycle += measured * amps * _SECONDS_PER_AMP_OP
-    return config.realizations * config.cycles * per_cycle
+    calls = _ops_per_period(circuit) + measured
+    per_call = _SECONDS_PER_CALL + (1 << config.n_qubits) * _SECONDS_PER_AMP_OP
+    return config.realizations * config.cycles * calls * per_call
 
 
 def run_realization(config: ExperimentConfig, realization: int) -> np.ndarray:
@@ -493,9 +506,7 @@ def run_realization(config: ExperimentConfig, realization: int) -> np.ndarray:
     readout series needs no second evolution.
     """
     plan = SeedPlan(config.seed)
-    params = sample_model_params(config.to_model_disorder(), plan, realization)
-    program = build_model(config.model, config.layout, params)
-    circuit = lower_program(program, config.lowering)
+    _, circuit = _build_realization(config, plan, realization)
     jitter = None
     if config.init_jitter > 0:
         jitter = sample_init_jitter(
@@ -606,7 +617,10 @@ def run_experiment(
 ) -> RunRecord:
     """Execute the whole pipeline; optionally write CSV/JSON artifacts."""
     config.validate()
-    estimate = estimate_seconds(config)
+    if workers < 1:
+        raise ConfigError(f"workers: need at least 1, got {workers}")
+    program0, circuit0 = _build_realization(config, SeedPlan(config.seed), 0)
+    estimate = estimate_seconds(config, circuit0)
     if estimate > max_seconds:
         raise CapacityError(
             f"estimated runtime {estimate:.0f}s exceeds the {max_seconds:.0f}s "
@@ -656,10 +670,6 @@ def run_experiment(
     argmax_bins = sorted(int(k) + 1 for k in order[: len(target_bins)])
     argmax_match = argmax_bins == target_bins
 
-    plan = SeedPlan(config.seed)
-    params0 = sample_model_params(config.to_model_disorder(), plan, 0)
-    program0 = build_model(config.model, config.layout, params0)
-    circuit0 = lower_program(program0, config.lowering)
     program_summary = program0.to_dict()
     program_summary["lowering"] = config.lowering
     program_summary["ops_per_period"] = _ops_per_period(circuit0)
@@ -743,7 +753,13 @@ def _parse_pair(text: str, where: str) -> tuple[float, float]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise ConfigError(f"{where}: expected 'a, b', got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        pair = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ConfigError(f"{where}: expected two numbers, got {text!r}") from None
+    if not all(map(math.isfinite, pair)):
+        raise ConfigError(f"{where}: values must be finite, got {text!r}")
+    return pair
 
 
 def _parse_spec(text: str, where: str) -> DisorderSpec:

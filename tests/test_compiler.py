@@ -311,6 +311,48 @@ class TestNativeLowering:
         assert names.count("ISWAP") + names.count("ISWAPINV") == 2
 
 
+def per_gate_noisy_period(circuit, state, rng, single_error, iswap_error):
+    """Reference period: one scalar noise draw per noisy gate, in gate order."""
+    for gate in circuit.gates:
+        iswap = gate.name in ("ISWAP", "ISWAPINV")
+        angle = math.pi / 4 if iswap else gate.angle
+        width = iswap_error if iswap else single_error
+        if width > 0.0:
+            angle *= 1.0 + rng.uniform(-width, width)
+        if iswap:
+            state.apply_iswap(*gate.qubits, inverse=gate.name == "ISWAPINV", angle=angle)
+        else:
+            letter = gate.name[1]
+            pauli = PauliString.from_ops(state.n_qubits, {gate.qubits[0]: letter})
+            state.apply_rotation(PauliRotation(pauli, angle))
+
+
+class TestNativeNoise:
+    @pytest.mark.parametrize(
+        "single_error, iswap_error", [(0.005, 0.0), (0.0, 0.04), (0.005, 0.04)]
+    )
+    def test_period_consumes_noise_stream_like_per_gate_draws(
+        self, single_error, iswap_error
+    ):
+        layout = ChainLayout(2, 2)
+        program = build_model("u4", layout, ideal_model_params("u4", layout))
+        native = lower_program(program, "native-iswap")
+        got, want = StateVector(4), StateVector(4)
+        rng_got, rng_want = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(3):
+            native.apply_to(
+                got, rng=rng_got, single_error=single_error, iswap_error=iswap_error
+            )
+            per_gate_noisy_period(native, want, rng_want, single_error, iswap_error)
+        assert rng_got.random() == rng_want.random()
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+
+    def test_noise_without_stream_is_refused(self):
+        circuit = NativeCircuit(1, (NativeGate("RX", (0,), 0.3),))
+        with pytest.raises(ValueError):
+            circuit.apply_to(StateVector(1), single_error=0.01)
+
+
 class TestNativeTextFormat:
     def test_roundtrip(self):
         layout = ChainLayout(2, 2)

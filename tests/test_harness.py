@@ -481,6 +481,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert ENV_SEED in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("pair", ["1.5, abc", "nan, 0.1", "1.5, inf"])
+    def test_run_bad_number_in_config_exits_2(self, tmp_path, capsys, pair):
+        path = tmp_path / "bad.cfg"
+        path.write_text(CONFIG_TEXT.replace("chain0 = 1.5, 0.5", f"chain0 = {pair}"))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "couplings.chain0" in err and "Traceback" not in err
+
+    def test_run_zero_threads_exits_2(self, capsys):
+        assert cli.main(["run", "ideal-u4", "--threads", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "workers" in err and "Traceback" not in err
+
     def test_run_respects_env_seed(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "tiny.cfg"
         path.write_text(CONFIG_TEXT)

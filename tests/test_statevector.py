@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repdtc import PauliRotation, PauliString, StateVector
+from repdtc import PauliRotation, PauliString, StateVector, statevector
 from repdtc.statevector import MAX_QUBITS, states_equal
 
 from conftest import dense_iswap, dense_pauli, dense_rotation
@@ -84,6 +86,60 @@ class TestApplyRotation:
         s = StateVector(2)
         with pytest.raises(ValueError):
             s.apply_rotation(PauliRotation(PauliString.from_ops(3, {0: "X"}), 0.1))
+
+    @pytest.mark.parametrize("letter", ["X", "Y", "Z"])
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 4, -math.pi / 4, math.pi / 2, 0.3])
+    def test_weight_one_matches_dense_on_every_qubit(self, rng, letter, theta):
+        for n in range(1, 6):
+            for q in range(n):
+                s = random_state(rng, n)
+                want = dense_rotation(n, {q: letter}, theta) @ s.amplitudes
+                s.apply_rotation(
+                    PauliRotation(PauliString.from_ops(n, {q: letter}), theta)
+                )
+                assert np.allclose(s.amplitudes, want, atol=1e-12, rtol=0)
+
+    def test_weight_one_fills_no_index_cache(self, rng):
+        caches = (statevector._INDEX_CACHE, statevector._FLIP_CACHE, statevector._SIGN_CACHE)
+        saved = [dict(c) for c in caches]
+        for c in caches:
+            c.clear()
+        try:
+            s = random_state(rng, 6)
+            for q in range(6):
+                for letter in "XYZ":
+                    s.apply_rotation(
+                        PauliRotation(PauliString.from_ops(6, {q: letter}), 0.3)
+                    )
+            assert [len(c) for c in caches] == [0, 0, 0]
+        finally:
+            for c, entries in zip(caches, saved):
+                c.clear()
+                c.update(entries)
+
+
+@st.composite
+def pauli_rotations(draw):
+    n = draw(st.integers(1, 5))
+    support = draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True)
+    )
+    ops = {q: draw(st.sampled_from("XYZ")) for q in support}
+    theta = draw(st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False))
+    return n, ops, theta
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(pauli_rotations(), st.integers(0, 2**32 - 1))
+def test_rotation_matches_dense_matrix_exponential(case, seed):
+    n, ops, theta = case
+    p = dense_pauli(n, ops)
+    eigvals, vecs = np.linalg.eigh(p)
+    expm = (vecs * np.exp(-1j * theta * eigvals)) @ vecs.conj().T
+    s = random_state(np.random.default_rng(seed), n)
+    want = expm @ s.amplitudes
+    s.apply_rotation(PauliRotation(PauliString.from_ops(n, ops), theta))
+    assert np.max(np.abs(s.amplitudes - want)) <= 1e-12
 
 
 class TestMatrixGates:
