@@ -7,11 +7,10 @@ eigenstate oracles, and a disorder-sweep harness with figure presets.
 """
 
 from .compiler import (
+    Circuit,
     CompilationError,
-    GadgetSequence,
+    ISwapRotation,
     LOWERING_LEVELS,
-    NativeCircuit,
-    NativeGate,
     decompose_i1,
     decompose_i2,
     decompose_i3,
@@ -73,6 +72,6 @@ from .observables import (
     subharmonic_score,
 )
 from .pauli import PauliRotation, PauliString, anticommutes, multiply
-from .statevector import MAX_QUBITS, StateVector, states_equal
+from .statevector import MAX_QUBITS, StateVector
 
 __version__ = "0.1.0"

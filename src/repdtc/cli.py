@@ -31,7 +31,6 @@ from .harness import (
     ConfigError,
     apply_overrides,
     describe,
-    estimate_seconds,
     list_presets,
     resolve_config,
     run_experiment,
@@ -57,13 +56,11 @@ def _cmd_run(args) -> int:
             lowering=args.lowering,
         )
         config.validate()
-        estimate = estimate_seconds(config)
         print(
             f"{config.name}: {config.model} on {config.chains}x{config.sites} "
             f"({config.n_qubits} qubits), {config.realizations} realizations x "
             f"{config.cycles} cycles, seed {config.seed}"
         )
-        print(f"estimated runtime: {estimate:.1f}s (pessimistic)")
         record = run_experiment(config, out_dir=args.out, workers=args.threads)
     except (ConfigError, CapacityError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -77,7 +74,11 @@ def _cmd_run(args) -> int:
     )
     if chain is not None:
         print(f"full-average score {record.score_full:.3f}")
-    print(f"wall time {record.wall_seconds:.1f}s")
+    ratio = record.estimate_seconds / max(record.wall_seconds, 1e-9)
+    print(
+        f"wall time {record.wall_seconds:.1f}s, estimated "
+        f"{record.estimate_seconds:.1f}s (estimate/actual {ratio:.2f})"
+    )
     if args.out:
         print(f"wrote series.csv, spectrum.csv, record.json under {args.out}")
     return 0

@@ -8,6 +8,10 @@ Three levels exist:
 * ``native-iswap``: every weight-2 rotation rewritten over iSWAPs and
   single-qubit rotations.
 
+Every level, and every gadget, returns one ``Circuit``: a flat list of
+Pauli and iSWAP rotations compiled once, the single executable form of
+a period.
+
 The gadget constructions all follow one identity: conjugating a rotation
 exp(-i*theta*P) by exp(+-i*pi/4*G) with G anticommuting with P yields
 exp(-i*theta*P') with P' = +-i*G*P.  Dressings therefore sit at fixed
@@ -35,28 +39,97 @@ class CompilationError(ValueError):
     """A rotation cannot be lowered at the requested level."""
 
 
-# -- gadget sequences --------------------------------------------------------
+# -- the executable circuit --------------------------------------------------
 
 
 @dataclass(frozen=True)
-class GadgetSequence:
-    """Rotations in application order realizing exp(-i*theta*target).
+class ISwapRotation:
+    """exp(-i*angle*(XX+YY)) on a qubit pair.
 
-    ``core_indices`` point at the theta-scaled rotations; everything else
-    is a fixed +-pi/4 dressing.  Removing the cores leaves a circuit that
-    collapses to the identity.
+    An angle of +pi/4 is iSWAP and -pi/4 its inverse, so the sign of the
+    angle carries the direction.
+    """
+
+    qubits: tuple[int, int]
+    angle: float
+
+
+@dataclass(frozen=True)
+class Circuit:
+    """One driving period as a flat rotation list, compiled once.
+
+    Every entry is a ``PauliRotation`` or an ``ISwapRotation``.
+    Construction compiles the base angles, which entries are iSWAPs, and
+    whether every entry is native (weight <= 1 or an iSWAP), which is
+    what temporal angle noise attaches to.
     """
 
     n_qubits: int
-    rotations: tuple[PauliRotation, ...]
-    core_indices: tuple[int, ...]
+    rotations: tuple[PauliRotation | ISwapRotation, ...]
+    _angles: np.ndarray = field(init=False, repr=False, compare=False)
+    _iswaps: np.ndarray = field(init=False, repr=False, compare=False)
+    _native: bool = field(init=False, repr=False, compare=False)
 
-    def apply_to(self, state: StateVector) -> None:
-        for rot in self.rotations:
-            state.apply_rotation(rot)
+    def __post_init__(self):
+        iswaps = [isinstance(r, ISwapRotation) for r in self.rotations]
+        native = all(
+            iswap or r.pauli.weight <= 1 for r, iswap in zip(self.rotations, iswaps)
+        )
+        angles = np.array([r.angle for r in self.rotations], dtype=float)
+        object.__setattr__(self, "_angles", angles)
+        object.__setattr__(self, "_iswaps", np.array(iswaps, dtype=bool))
+        object.__setattr__(self, "_native", native)
 
     def __len__(self) -> int:
         return len(self.rotations)
+
+    def apply_to(
+        self,
+        state: StateVector,
+        *,
+        rng: np.random.Generator | None = None,
+        single_error: float = 0.0,
+        iswap_error: float = 0.0,
+    ) -> None:
+        """Apply every entry in order; optional fresh angle noise.
+
+        Rotation angles are scaled by (1 + eps) with eps uniform within
+        +-single_error; iSWAP angles likewise within +-iswap_error.
+        Noise needs an rng and a native circuit.  One cycle's noise is
+        one vector draw over the noisy entries in order, which consumes
+        the stream exactly as one scalar draw per entry would.
+        """
+        entries = self.rotations
+        if single_error > 0.0 or iswap_error > 0.0:
+            entries = self._noisy_entries(rng, single_error, iswap_error)
+        for entry in entries:
+            if type(entry) is ISwapRotation:
+                state.apply_iswap(*entry.qubits, angle=entry.angle)
+            else:
+                state.apply_rotation(entry)
+
+    def _noisy_entries(self, rng, single_error: float, iswap_error: float) -> list:
+        if rng is None:
+            raise ValueError("temporal noise needs a random stream")
+        if not self._native:
+            raise ValueError(
+                "temporal noise attaches to native gates; lower to native-iswap first"
+            )
+        widths = np.where(self._iswaps, iswap_error, single_error)
+        noisy = widths > 0.0
+        angles = self._angles.copy()
+        angles[noisy] *= 1.0 + rng.uniform(-widths[noisy], widths[noisy])
+        return [
+            ISwapRotation(entry.qubits, angle)
+            if iswap
+            else PauliRotation(entry.pauli, angle)
+            for entry, iswap, angle in zip(
+                self.rotations, self._iswaps.tolist(), angles.tolist()
+            )
+        ]
+
+
+# -- gadget sequences --------------------------------------------------------
 
 
 def _dressed_sequence(
@@ -64,7 +137,7 @@ def _dressed_sequence(
     core: PauliRotation,
     dressings: Sequence[Sequence[PauliRotation]],
     target: PauliString,
-) -> GadgetSequence:
+) -> Circuit:
     """Assemble D_K ... D_1 core D_1^dag ... D_K^dag in application order.
 
     Each entry of ``dressings`` lists one conjugation block D_k in its own
@@ -86,11 +159,10 @@ def _dressed_sequence(
     rotations: list[PauliRotation] = []
     for block in reversed(dressings):
         rotations.extend(rot.inverse() for rot in reversed(block))
-    core_index = len(rotations)
     rotations.append(core)
     for block in dressings:
         rotations.extend(block)
-    return GadgetSequence(n_qubits, tuple(rotations), (core_index,))
+    return Circuit(n_qubits, tuple(rotations))
 
 
 def _check_pattern(target: PauliString, path: Sequence[int] | None, kind: str):
@@ -113,12 +185,13 @@ def _check_pattern(target: PauliString, path: Sequence[int] | None, kind: str):
 
 def decompose_i1(
     target: PauliString, theta: float, path: Sequence[int] | None = None
-) -> GadgetSequence:
+) -> Circuit:
     """Z...ZX run: Z on every path qubit but the last, X on the last.
 
     Core exp(-i*theta*Z X) on the first two path qubits, dressed by
     exp(+i*pi/4*Y_k X_{k+1}) for each later step.  A length-L run costs
-    2(L-2) dressings plus the core.
+    2(L-2) dressings plus the core, which sits in the middle of the
+    returned circuit, as in every i1/i2/i3 gadget.
     """
     path = _check_pattern(target, path, "i1")
     letters = [target.letters[q] for q in path]
@@ -144,7 +217,7 @@ def decompose_i1(
 
 def decompose_i2(
     target: PauliString, theta: float, path: Sequence[int] | None = None
-) -> GadgetSequence:
+) -> Circuit:
     """Long-range Z-X pair: Z on path[0], X on path[-1].
 
     Each growth step conjugates by exp(+i*pi/4*YY) then exp(+i*pi/4*ZZ)
@@ -173,7 +246,7 @@ def decompose_i2(
 
 def decompose_i3(
     target: PauliString, theta: float, path: Sequence[int] | None = None
-) -> GadgetSequence:
+) -> Circuit:
     """Long-range Z-Z pair: Z on both ends of the path.
 
     The X endpoint of a Z-X core is walked outward as in the Z-X gadget,
@@ -189,8 +262,7 @@ def decompose_i3(
     if len(path) == 2:
         # Adjacent ZZ is already native; the endpoint conversion below
         # would have nothing to walk.
-        rot = PauliRotation(target, theta)
-        return GadgetSequence(n, (rot,), (0,))
+        return Circuit(n, (PauliRotation(target, theta),))
     core = PauliRotation(
         PauliString.from_ops(n, {path[0]: "Z", path[1]: "X"}), theta
     )
@@ -219,7 +291,7 @@ def lower_ccnot_local(
     control_b: int,
     target: int,
     scales: np.ndarray,
-) -> GadgetSequence:
+) -> Circuit:
     """Nearest-neighbor expansion of one transversal CCNOT layer.
 
     Per site, the seven-factor product (commuting pi/8 block; +-pi/4 YX
@@ -238,7 +310,6 @@ def lower_ccnot_local(
         )
     n = layout.n_qubits
     rotations: list[PauliRotation] = []
-    cores: list[int] = []
 
     def rot(ops: dict[int, str], angle: float) -> PauliRotation:
         return PauliRotation(PauliString.from_ops(n, ops), angle)
@@ -252,7 +323,6 @@ def lower_ccnot_local(
         rotations.append(rot({q2: "Z", q3: "Z"}, QUARTER))
         rotations.append(rot({q2: "Y", q3: "Y"}, QUARTER))
         # exp(-i g Z1 X2)
-        cores.append(len(rotations))
         rotations.append(rot({q1: "Z", q2: "X"}, g))
         # exp(+i pi/4 (Z2 Z3 + Y2 Y3))
         rotations.append(rot({q2: "Z", q3: "Z"}, -QUARTER))
@@ -260,7 +330,6 @@ def lower_ccnot_local(
         # exp(-i pi/4 Y2 X3)
         rotations.append(rot({q2: "Y", q3: "X"}, QUARTER))
         # exp(+i g Z1 X2)
-        cores.append(len(rotations))
         rotations.append(rot({q1: "Z", q2: "X"}, -g))
         # exp(+i pi/4 Y2 X3)
         rotations.append(rot({q2: "Y", q3: "X"}, -QUARTER))
@@ -272,9 +341,8 @@ def lower_ccnot_local(
             ({q2: "Z"}, -1.0),
             ({q3: "X"}, -1.0),
         ):
-            cores.append(len(rotations))
             rotations.append(rot(ops, sign * g))
-    return GadgetSequence(n, tuple(rotations), tuple(cores))
+    return Circuit(n, tuple(rotations))
 
 
 # -- program-level gadget lowering -------------------------------------------
@@ -326,19 +394,7 @@ def lower_rotation_local(
     )
 
 
-@dataclass(frozen=True)
-class RotationCircuit:
-    """A flat rotation list standing in for one driving period."""
-
-    n_qubits: int
-    rotations: tuple[PauliRotation, ...]
-
-    def apply_to(self, state: StateVector) -> None:
-        for rot in self.rotations:
-            state.apply_rotation(rot)
-
-
-def lower_program_local(program: FloquetProgram) -> RotationCircuit:
+def lower_program_local(program: FloquetProgram) -> Circuit:
     """Rewrite a whole program at the local-gadgets level.
 
     Two-control ladder layers take the dedicated CCNOT expansion; every
@@ -356,219 +412,101 @@ def lower_program_local(program: FloquetProgram) -> RotationCircuit:
             continue
         for rot in layer.rotations:
             rotations.extend(lower_rotation_local(layout, rot))
-    return RotationCircuit(program.n_qubits, tuple(rotations))
+    return Circuit(program.n_qubits, tuple(rotations))
 
 
 # -- native iSWAP + single-qubit lowering -------------------------------------
 
 
-@dataclass(frozen=True)
-class NativeGate:
-    """One hardware gate: RX/RY/RZ with an angle, or ISWAP/ISWAPINV."""
-
-    name: str
-    qubits: tuple[int, ...]
-    angle: float | None = None
-
-    def __post_init__(self):
-        if self.name in ("RX", "RY", "RZ"):
-            if len(self.qubits) != 1 or self.angle is None:
-                raise ValueError("rotation gates take one qubit and an angle")
-        elif self.name in ("ISWAP", "ISWAPINV"):
-            if len(self.qubits) != 2 or self.angle is not None:
-                raise ValueError("iSWAP gates take two qubits and no angle")
-        else:
-            raise ValueError(f"unknown native gate {self.name!r}")
+def _single(n: int, q: int, letter: str, angle: float) -> PauliRotation:
+    return PauliRotation(PauliString.from_ops(n, {q: letter}), angle)
 
 
-_ROTATION_LETTER = {"RX": "X", "RY": "Y", "RZ": "Z"}
-
-
-@dataclass(frozen=True)
-class NativeCircuit:
-    """Ordered native gate list; one instance stands for one period.
-
-    The gates are compiled once, at construction, into flat per-gate
-    data: the generator of each rotation, the qubits and direction of
-    each iSWAP, the base angles, and which gates are iSWAPs.
-    """
-
-    n_qubits: int
-    gates: tuple[NativeGate, ...]
-    _ops: tuple = field(init=False, repr=False, compare=False)
-    _angles: np.ndarray = field(init=False, repr=False, compare=False)
-    _iswaps: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        ops = []
-        for gate in self.gates:
-            if gate.name in ("ISWAP", "ISWAPINV"):
-                ops.append((None, *gate.qubits, gate.name == "ISWAPINV"))
-            else:
-                letter = _ROTATION_LETTER[gate.name]
-                pauli = PauliString.from_ops(self.n_qubits, {gate.qubits[0]: letter})
-                ops.append((pauli, None, None, False))
-        iswaps = np.array([pauli is None for pauli, *_ in ops], dtype=bool)
-        angles = np.array(
-            [QUARTER if gate.angle is None else gate.angle for gate in self.gates],
-            dtype=float,
-        )
-        object.__setattr__(self, "_ops", tuple(ops))
-        object.__setattr__(self, "_angles", angles)
-        object.__setattr__(self, "_iswaps", iswaps)
-
-    def apply_to(
-        self,
-        state: StateVector,
-        *,
-        rng: np.random.Generator | None = None,
-        single_error: float = 0.0,
-        iswap_error: float = 0.0,
-    ) -> None:
-        """Apply all gates; optional fresh angle noise on every gate.
-
-        Rotation angles are scaled by (1 + eps) with eps uniform within
-        +-single_error; iSWAP angles likewise within +-iswap_error.
-        Noise requires an rng.  One cycle's noise is one vector draw over
-        the noisy gates in gate order, which consumes the stream exactly
-        as one scalar draw per gate would.
-        """
-        angles = self._angles
-        if single_error > 0.0 or iswap_error > 0.0:
-            if rng is None:
-                raise ValueError("temporal noise needs a random stream")
-            widths = np.where(self._iswaps, iswap_error, single_error)
-            noisy = widths > 0.0
-            angles = angles.copy()
-            angles[noisy] *= 1.0 + rng.uniform(-widths[noisy], widths[noisy])
-        for (pauli, a, b, inverse), angle in zip(self._ops, angles.tolist()):
-            if pauli is None:
-                state.apply_iswap(a, b, inverse=inverse, angle=angle)
-            else:
-                state.apply_rotation(PauliRotation(pauli, angle))
-
-    def to_text(self) -> str:
-        """One gate per line; angles carry 17 significant digits."""
-        lines = []
-        for gate in self.gates:
-            parts = [gate.name] + [f"q{q}" for q in gate.qubits]
-            if gate.angle is not None:
-                parts.append(f"{gate.angle:.17g}")
-            lines.append(" ".join(parts))
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_text(cls, text: str, n_qubits: int) -> "NativeCircuit":
-        gates = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            name = parts[0]
-            qubits = tuple(int(p[1:]) for p in parts[1:] if p.startswith("q"))
-            rest = [p for p in parts[1:] if not p.startswith("q")]
-            angle = float(rest[0]) if rest else None
-            gates.append(NativeGate(name, qubits, angle))
-        return cls(n_qubits, tuple(gates))
-
-
-def _rx(q: int, angle: float) -> NativeGate:
-    return NativeGate("RX", (q,), angle)
-
-
-def _ry(q: int, angle: float) -> NativeGate:
-    return NativeGate("RY", (q,), angle)
-
-
-def _rz(q: int, angle: float) -> NativeGate:
-    return NativeGate("RZ", (q,), angle)
-
-
-def _zx_block(zq: int, xq: int, theta: float) -> list[NativeGate]:
+def _zx_block(n: int, zq: int, xq: int, theta: float) -> list:
     """exp(-i theta Z_zq X_xq) = ISWAP * RY(theta on zq) * ISWAPINV."""
     return [
-        NativeGate("ISWAPINV", (zq, xq)),
-        _ry(zq, theta),
-        NativeGate("ISWAP", (zq, xq)),
+        ISwapRotation((zq, xq), -QUARTER),
+        _single(n, zq, "Y", theta),
+        ISwapRotation((zq, xq), QUARTER),
     ]
 
 
-def _zy_block(zq: int, yq: int, theta: float) -> list[NativeGate]:
+def _zy_block(n: int, zq: int, yq: int, theta: float) -> list:
     """exp(-i theta Z_zq Y_yq) = ISWAPINV * RX(theta on zq) * ISWAP."""
     return [
-        NativeGate("ISWAP", (zq, yq)),
-        _rx(zq, theta),
-        NativeGate("ISWAPINV", (zq, yq)),
+        ISwapRotation((zq, yq), QUARTER),
+        _single(n, zq, "X", theta),
+        ISwapRotation((zq, yq), -QUARTER),
     ]
 
 
-# Basis-change rotations: _to_z[P] maps P -> Z by conjugation, _to_x[P]
-# maps P -> X.  Entries are (gate ctor, angle).
-_TO_Z = {"Y": (_rx, QUARTER), "X": (_ry, -QUARTER)}
-_TO_X = {"Z": (_ry, QUARTER), "Y": (_rz, -QUARTER)}
+# Basis-change rotations: _TO_Z[P] maps P -> Z by conjugation, _TO_X[P]
+# maps P -> X.  Entries are (rotation letter, angle).
+_TO_Z = {"Y": ("X", QUARTER), "X": ("Y", -QUARTER)}
+_TO_X = {"Z": ("Y", QUARTER), "Y": ("Z", -QUARTER)}
 
 
-def lower_rotation_native(rotation: PauliRotation) -> list[NativeGate]:
-    """Rewrite one weight-<=2 rotation over RX/RY/RZ and iSWAPs."""
+def lower_rotation_native(
+    rotation: PauliRotation,
+) -> list[PauliRotation | ISwapRotation]:
+    """Rewrite one weight-<=2 rotation over RX/RY/RZ and iSWAPs.
+
+    A weight-1 rotation is already native and passes through unchanged.
+    """
     weight = rotation.pauli.weight
     if weight == 0:
         return []  # pure global phase
-    support = rotation.pauli.support()
-    theta = rotation.angle
     if weight == 1:
-        q = support[0]
-        letter = rotation.pauli.letters[q]
-        ctor = {"X": _rx, "Y": _ry, "Z": _rz}[letter]
-        return [ctor(q, theta)]
+        return [rotation]
     if weight != 2:
         raise CompilationError(
             f"cannot lower weight-{weight} rotation {rotation.pauli} to native "
             "gates; apply the local-gadget level first"
         )
-    qa, qb = support
+    n = rotation.n_qubits
+    theta = rotation.angle
+    qa, qb = rotation.pauli.support()
     pa, pb = rotation.pauli.letters[qa], rotation.pauli.letters[qb]
     letters = {pa, pb}
     if letters == {"Z", "X"}:
         zq, xq = (qa, qb) if pa == "Z" else (qb, qa)
-        return _zx_block(zq, xq, theta)
+        return _zx_block(n, zq, xq, theta)
     if letters == {"Z", "Y"}:
         zq, yq = (qa, qb) if pa == "Z" else (qb, qa)
-        return _zy_block(zq, yq, theta)
+        return _zy_block(n, zq, yq, theta)
     if letters == {"Z"}:
         # Rotate qb's Z into Y, run the ZY block, rotate back.
-        return [_rx(qb, -QUARTER)] + _zy_block(qa, qb, theta) + [_rx(qb, QUARTER)]
+        return (
+            [_single(n, qb, "X", -QUARTER)]
+            + _zy_block(n, qa, qb, theta)
+            + [_single(n, qb, "X", QUARTER)]
+        )
     # No Z present: conjugate into the Z-X form on (qa, qb).
-    pre: list[NativeGate] = []
-    post: list[NativeGate] = []
-    if pa in _TO_Z:
-        ctor, angle = _TO_Z[pa]
-        pre.append(ctor(qa, angle))
-        post.append(ctor(qa, -angle))
-    if pb in _TO_X:
-        ctor, angle = _TO_X[pb]
-        pre.append(ctor(qb, angle))
-        post.append(ctor(qb, -angle))
+    pre: list[PauliRotation] = []
+    post: list[PauliRotation] = []
+    for q, basis in ((qa, _TO_Z.get(pa)), (qb, _TO_X.get(pb))):
+        if basis is not None:
+            letter, angle = basis
+            pre.append(_single(n, q, letter, angle))
+            post.append(_single(n, q, letter, -angle))
     if not pre:
         raise CompilationError(f"unsupported letter pair {pa}{pb}")
-    return pre + _zx_block(qa, qb, theta) + post
+    return pre + _zx_block(n, qa, qb, theta) + post
 
 
-def lower_to_native(
-    rotations: Iterable[PauliRotation], n_qubits: int
-) -> NativeCircuit:
-    gates: list[NativeGate] = []
+def lower_to_native(rotations: Iterable[PauliRotation], n_qubits: int) -> Circuit:
+    entries: list[PauliRotation | ISwapRotation] = []
     for rot in rotations:
-        gates.extend(lower_rotation_native(rot))
-    return NativeCircuit(n_qubits, tuple(gates))
+        entries.extend(lower_rotation_native(rot))
+    return Circuit(n_qubits, tuple(entries))
 
 
-def lower_program(program: FloquetProgram, level: str):
+def lower_program(program: FloquetProgram, level: str) -> Circuit:
     """Lower a program to one of the three execution levels."""
     if level not in LOWERING_LEVELS:
         raise ValueError(f"unknown lowering level {level!r}; choose from {LOWERING_LEVELS}")
     if level == "pauli-layers":
-        return program
+        return Circuit(program.n_qubits, tuple(program.all_rotations()))
     local = lower_program_local(program)
     if level == "local-gadgets":
         return local
@@ -589,15 +527,11 @@ def _as_applier(obj, n_qubits: int | None):
         if n_qubits is None:
             raise ValueError("callable operands need an explicit n_qubits")
         return obj, n_qubits
-    rotations = list(obj)
+    rotations = tuple(obj)
     if not rotations:
         raise ValueError("empty rotation list has no register size")
-
-    def apply(state: StateVector) -> None:
-        for rot in rotations:
-            state.apply_rotation(rot)
-
-    return apply, rotations[0].n_qubits
+    circuit = Circuit(rotations[0].n_qubits, rotations)
+    return circuit.apply_to, circuit.n_qubits
 
 
 def _column(apply: Callable, n: int, index: int) -> np.ndarray:

@@ -172,12 +172,7 @@ def sample_model_params(
                 values[j] = ideal
         return values
 
-    couplings = np.zeros((layout.n_chains, sites - 1))
-    for c, coupling in enumerate(disorder.coupling_specs):
-        for b in range(sites - 1):
-            couplings[c][b] = coupling.draw(plan, realization, f"J/c{c}/b{b}")
-
-    long_range = None
+    couplings = long_range = None
     if spec.long_range:
         long_range = np.zeros((layout.n_chains, sites, sites))
         for c, coupling in enumerate(disorder.coupling_specs):
@@ -186,6 +181,11 @@ def sample_model_params(
                     long_range[c][j][k] = coupling.draw(
                         plan, realization, f"lr/c{c}/j{j}/k{k}"
                     )
+    else:
+        couplings = np.zeros((layout.n_chains, sites - 1))
+        for c, coupling in enumerate(disorder.coupling_specs):
+            for b in range(sites - 1):
+                couplings[c][b] = coupling.draw(plan, realization, f"J/c{c}/b{b}")
 
     z_field = None
     if spec.z_field and disorder.z_spec is not None:

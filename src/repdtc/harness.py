@@ -11,6 +11,7 @@ configs reproduce byte-identical CSV outputs for any worker count.
 from __future__ import annotations
 
 import configparser
+import difflib
 import json
 import math
 import os
@@ -468,14 +469,6 @@ def describe(name: str) -> str:
 # -- run pipeline ------------------------------------------------------------
 
 
-def _ops_per_period(circuit) -> int:
-    if hasattr(circuit, "gates"):
-        return len(circuit.gates)
-    if hasattr(circuit, "rotations"):
-        return len(circuit.rotations)
-    return sum(len(layer.rotations) for layer in circuit.layers)
-
-
 def _build_realization(config: ExperimentConfig, plan: SeedPlan, realization: int):
     """(program, circuit) of one realization: sample, build, lower."""
     params = sample_model_params(config.to_model_disorder(), plan, realization)
@@ -492,7 +485,7 @@ def estimate_seconds(config: ExperimentConfig, circuit=None) -> float:
     if circuit is None:
         _, circuit = _build_realization(config, SeedPlan(config.seed), 0)
     measured = config.n_qubits if config.measure_qubit is None else 1
-    calls = _ops_per_period(circuit) + measured
+    calls = len(circuit) + measured
     per_call = _SECONDS_PER_CALL + (1 << config.n_qubits) * _SECONDS_PER_AMP_OP
     return config.realizations * config.cycles * calls * per_call
 
@@ -556,7 +549,9 @@ class RunRecord:
     average or measured qubit).  ``readout_series``/``readout_spectrum``
     restrict to the readout chain when one applies, and the headline
     ``score`` is evaluated there; ``score_full`` keeps the score of the
-    plotted spectrum for comparison.
+    plotted spectrum for comparison.  ``estimate_seconds`` is the
+    pessimistic one-worker estimate the run was admitted with; set
+    beside ``wall_seconds`` it shows how far the estimate is off.
     """
 
     config: ExperimentConfig
@@ -571,6 +566,7 @@ class RunRecord:
     argmax_bins: list[int]
     argmax_match: bool
     wall_seconds: float
+    estimate_seconds: float
     program_summary: dict
 
     def to_dict(self) -> dict:
@@ -605,6 +601,7 @@ class RunRecord:
             "argmax_bins": self.argmax_bins,
             "argmax_match": self.argmax_match,
             "wall_seconds": self.wall_seconds,
+            "estimate_seconds": self.estimate_seconds,
             "program_realization0": self.program_summary,
         }
 
@@ -672,7 +669,7 @@ def run_experiment(
 
     program_summary = program0.to_dict()
     program_summary["lowering"] = config.lowering
-    program_summary["ops_per_period"] = _ops_per_period(circuit0)
+    program_summary["ops_per_period"] = len(circuit0)
 
     record = RunRecord(
         config=config,
@@ -687,6 +684,7 @@ def run_experiment(
         argmax_bins=argmax_bins,
         argmax_match=argmax_match,
         wall_seconds=time.perf_counter() - started,
+        estimate_seconds=estimate,
         program_summary=program_summary,
     )
     if out_dir is not None:
@@ -749,101 +747,135 @@ def write_outputs(record: RunRecord, out_dir: Path) -> dict[str, Path]:
 # -- config files ------------------------------------------------------------
 
 
-def _parse_pair(text: str, where: str) -> tuple[float, float]:
-    parts = [p.strip() for p in text.split(",")]
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _pair(text: str) -> tuple[float, float]:
+    parts = text.split(",")
     if len(parts) != 2:
-        raise ConfigError(f"{where}: expected 'a, b', got {text!r}")
-    try:
-        pair = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ConfigError(f"{where}: expected two numbers, got {text!r}") from None
-    if not all(map(math.isfinite, pair)):
-        raise ConfigError(f"{where}: values must be finite, got {text!r}")
-    return pair
+        raise ValueError(text)
+    return _finite(parts[0]), _finite(parts[1])
 
 
-def _parse_spec(text: str, where: str) -> DisorderSpec:
-    mean, half = _parse_pair(text, where)
-    return DisorderSpec(mean, half)
+def _finite_list(text: str) -> tuple[float, ...]:
+    return tuple(_finite(part) for part in text.split(",") if part.strip())
+
+
+def _boolean(text: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+# Every section and key a config file may hold: key -> (parser, what the
+# value must look like).  [couplings] holds chain0 .. chain{chains-1}.
+_INT = (int, "an integer")
+_FLOAT = (_finite, "a finite number")
+_TEXT = (str, "text")
+_PAIR = (_pair, "two finite numbers 'a, b'")
+_SCHEMA: dict[str, dict[str, tuple]] = {
+    "experiment": {
+        **dict.fromkeys(("name", "model", "lowering", "spectrum_average"), _TEXT),
+        **dict.fromkeys(("chains", "sites", "realizations", "cycles"), _INT),
+        **dict.fromkeys(("seed", "shots", "measure_qubit"), _INT),
+        **dict.fromkeys(("alpha", "init_angle", "init_jitter"), _FLOAT),
+        "targets": (_finite_list, "finite numbers separated by commas"),
+    },
+    "couplings": {},
+    **{section: {"spec": _PAIR} for section in ("x_field", "cnot", "scale", "z_field")},
+    "error": {"fraction": _PAIR, "signed": (_boolean, "true or false")},
+    "noise": {"single": _FLOAT, "iswap": _FLOAT},
+}
+_MISSING = object()
+
+
+def _unknown(kind: str, name: str, known) -> ConfigError:
+    close = difflib.get_close_matches(name, list(known), n=1)
+    hint = f"; did you mean {close[0]}?" if close else ""
+    return ConfigError(f"{name}: unknown {kind}{hint}")
 
 
 def load_config_file(path: str | os.PathLike) -> ExperimentConfig:
-    """Parse a line-oriented key = value config with section headers."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    """Parse a line-oriented key = value config with section headers.
+
+    Unknown sections and keys are refused with a close-match hint, and
+    every value that does not parse as its key's type (floats must be
+    finite) ends in a ``ConfigError`` naming ``section.key``.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
-    if "experiment" not in parser:
-        raise ConfigError("config file needs an [experiment] section")
-    exp = parser["experiment"]
+    for section in parser.sections():
+        if section not in _SCHEMA:
+            raise _unknown("section", section, _SCHEMA)
+    for section in ("experiment", "couplings"):
+        if section not in parser:
+            raise ConfigError(f"config file needs an [{section}] section")
 
-    def need(key: str) -> str:
-        if key not in exp:
-            raise ConfigError(f"experiment.{key}: missing")
-        return exp[key]
+    def get(section: str, key: str, default=_MISSING):
+        where = f"{section}.{key}"
+        if section not in parser or key not in parser[section]:
+            if default is _MISSING:
+                raise ConfigError(f"{where}: missing")
+            return default
+        parse, what = _PAIR if section == "couplings" else _SCHEMA[section][key]
+        text = parser[section][key]
+        try:
+            return parse(text.strip())
+        except (ValueError, KeyError):
+            raise ConfigError(f"{where}: expected {what}, got {text!r}") from None
 
-    chains = int(need("chains"))
-    if "couplings" not in parser:
-        raise ConfigError("config file needs a [couplings] section")
-    coupling_specs = []
-    for c in range(chains):
-        key = f"chain{c}"
-        if key not in parser["couplings"]:
-            raise ConfigError(f"couplings.{key}: missing")
-        coupling_specs.append(_parse_spec(parser["couplings"][key], f"couplings.{key}"))
+    def spec(section: str, key: str, default=_MISSING) -> DisorderSpec | None:
+        pair = get(section, key, default)
+        if pair is None:
+            return None
+        if pair[1] < 0:
+            raise ConfigError(f"{section}.{key}: half-width must be nonnegative")
+        return DisorderSpec(*pair)
 
-    def optional_spec(section: str) -> DisorderSpec | None:
-        if section in parser and "spec" in parser[section]:
-            return _parse_spec(parser[section]["spec"], f"{section}.spec")
-        return None
-
-    error_fraction = None
-    error_signed = True
-    if "error" in parser:
-        sec = parser["error"]
-        if "fraction" in sec:
-            error_fraction = _parse_pair(sec["fraction"], "error.fraction")
-        error_signed = sec.getboolean("signed", fallback=True)
-
-    noise_single = noise_iswap = 0.0
-    if "noise" in parser:
-        noise_single = parser["noise"].getfloat("single", fallback=0.0)
-        noise_iswap = parser["noise"].getfloat("iswap", fallback=0.0)
-
-    targets: tuple[float, ...] = ()
-    if "targets" in exp:
-        targets = tuple(
-            float(p.strip()) for p in exp["targets"].split(",") if p.strip()
-        )
-
-    shots = exp.getint("shots", fallback=0)
-    measure_qubit = exp.getint("measure_qubit", fallback=-1)
+    chains = get("experiment", "chains")
+    # Each chain's key is read before the key check, so a missing one
+    # stops the loop and the known-key list stays as long as the file.
+    coupling_specs = tuple(spec("couplings", f"chain{c}") for c in range(chains))
+    known = dict(_SCHEMA, couplings=[f"chain{c}" for c in range(chains)])
+    for section in parser.sections():
+        for key in parser[section]:
+            if key not in known[section]:
+                raise _unknown(
+                    "key", f"{section}.{key}", (f"{section}.{k}" for k in known[section])
+                )
 
     config = ExperimentConfig(
-        name=exp.get("name", fallback=Path(path).stem),
-        model=need("model"),
+        name=get("experiment", "name", Path(path).stem),
+        model=get("experiment", "model"),
         chains=chains,
-        sites=int(need("sites")),
-        realizations=exp.getint("realizations", fallback=1),
-        cycles=int(need("cycles")),
-        seed=exp.getint("seed", fallback=0),
-        coupling_specs=tuple(coupling_specs),
-        x_spec=optional_spec("x_field"),
-        cnot_spec=optional_spec("cnot"),
-        scale_spec=optional_spec("scale"),
-        z_spec=optional_spec("z_field"),
-        error_fraction=error_fraction,
-        error_signed=error_signed,
-        alpha=exp.getfloat("alpha", fallback=1.5),
-        lowering=exp.get("lowering", fallback="pauli-layers"),
-        init_angle=exp.getfloat("init_angle", fallback=DEFAULT_TILT),
-        init_jitter=exp.getfloat("init_jitter", fallback=0.0),
-        noise_single=noise_single,
-        noise_iswap=noise_iswap,
-        shots=shots if shots > 0 else None,
-        measure_qubit=measure_qubit if measure_qubit >= 0 else None,
-        targets=targets,
-        spectrum_average=exp.get("spectrum_average", fallback="series"),
+        sites=get("experiment", "sites"),
+        realizations=get("experiment", "realizations", 1),
+        cycles=get("experiment", "cycles"),
+        seed=get("experiment", "seed", 0),
+        coupling_specs=coupling_specs,
+        x_spec=spec("x_field", "spec", None),
+        cnot_spec=spec("cnot", "spec", None),
+        scale_spec=spec("scale", "spec", None),
+        z_spec=spec("z_field", "spec", None),
+        error_fraction=get("error", "fraction", None),
+        error_signed=get("error", "signed", True),
+        alpha=get("experiment", "alpha", 1.5),
+        lowering=get("experiment", "lowering", "pauli-layers"),
+        init_angle=get("experiment", "init_angle", DEFAULT_TILT),
+        init_jitter=get("experiment", "init_jitter", 0.0),
+        noise_single=get("noise", "single", 0.0),
+        noise_iswap=get("noise", "iswap", 0.0),
+        shots=get("experiment", "shots", None),
+        measure_qubit=get("experiment", "measure_qubit", None),
+        targets=get("experiment", "targets", ()),
+        spectrum_average=get("experiment", "spectrum_average", "series"),
     )
     config.validate()
     return config

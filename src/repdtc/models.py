@@ -97,14 +97,15 @@ class CnotParams:
 class ModelParams:
     """Disorder-resolved parameters of one Floquet operator.
 
-    couplings[c][b] is the Ising coupling on bond b of chain c.  The
-    optional blocks are consumed as the model's ``ModelSpec`` says:
-    x_field by every model, z_field by z-field models, cnots by the CNOT
-    layers and scales by the generalized layers, both in application
-    order, long_range (with exponent alpha) by long-range models.
+    couplings[c][b] is the Ising coupling on bond b of chain c; it is
+    None for long-range models, which read long_range (with exponent
+    alpha) instead.  The other blocks are consumed as the model's
+    ``ModelSpec`` says: x_field by every model, z_field by z-field
+    models, cnots by the CNOT layers and scales by the generalized
+    layers, both in application order.
     """
 
-    couplings: np.ndarray
+    couplings: np.ndarray | None
     x_field: np.ndarray
     z_field: np.ndarray | None = None
     cnots: tuple[CnotParams, ...] = ()
@@ -457,6 +458,7 @@ def build_model(
             layout, params.long_range, params.alpha
         )
     else:
+        _require(params.couplings is not None, f"{model} needs Ising couplings")
         z_field = params.z_field if spec.z_field else None
         stabilizer = build_h_rep_layer(layout, params.couplings, z_field)
     layers = [stabilizer, build_logical_x_layer(layout, params.x_field)]

@@ -124,20 +124,16 @@ def stroboscopic_run(
 ) -> TimeSeries:
     """Evolve ``state`` in place for ``cycles`` periods, recording <S_z>.
 
-    ``circuit`` is anything with apply_to(state): a Floquet program, a
-    lowered rotation list, or a native circuit.  ``qubit`` narrows the
-    measurement to one qubit; ``shots`` switches to sampled estimates.
-    ``per_qubit`` additionally records every qubit's exact <Z_q> series
-    (exact full-average mode only).  Temporal noise redraws native gate
-    angles every cycle and therefore requires a native circuit.
+    ``circuit`` is a compiled ``Circuit`` (or anything with
+    apply_to(state)).  ``qubit`` narrows the measurement to one qubit;
+    ``shots`` switches to sampled estimates.  ``per_qubit`` additionally
+    records every qubit's exact <Z_q> series (exact full-average mode
+    only).  Temporal noise redraws gate angles every cycle, which the
+    circuit refuses unless it is native.
     """
     if cycles < 1:
         raise ValueError("need at least one cycle")
     noisy = noise is not None and noise.active
-    if noisy and not hasattr(circuit, "gates"):
-        raise ValueError(
-            "temporal noise attaches to native gates; lower to native-iswap first"
-        )
     if per_qubit and (qubit is not None or shots is not None):
         raise ValueError(
             "per-qubit recording applies to the exact full-average mode"

@@ -227,21 +227,20 @@ class StateVector:
             blocks[r][...] = acc
 
     def apply_iswap(
-        self, qubit_a: int, qubit_b: int, *, inverse: bool = False,
-        angle: float = math.pi / 4,
+        self, qubit_a: int, qubit_b: int, *, angle: float = math.pi / 4
     ) -> None:
-        """Apply exp(-i*angle*(XX+YY)) on the pair (inverse negates the angle).
+        """Apply exp(-i*angle*(XX+YY)) on the pair.
 
         At angle pi/4 this is the iSWAP convention used throughout: |01> and
-        |10> swap with a factor -i, |00> and |11> are untouched.
+        |10> swap with a factor -i, |00> and |11> are untouched; -pi/4 is
+        its inverse.
         """
         self._check_qubit(qubit_a)
         self._check_qubit(qubit_b)
         if qubit_a == qubit_b:
             raise ValueError("iSWAP needs distinct qubits")
-        theta = -angle if inverse else angle
-        c = math.cos(2 * theta)
-        s = math.sin(2 * theta)
+        c = math.cos(2 * angle)
+        s = math.sin(2 * angle)
         hi, lo = max(qubit_a, qubit_b), min(qubit_a, qubit_b)
         view = self.amplitudes.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
         v01 = view[:, 0, :, 1, :]
@@ -284,8 +283,3 @@ class StateVector:
     def _check_qubit(self, q: int) -> None:
         if not 0 <= q < self.n_qubits:
             raise ValueError(f"qubit {q} outside register of size {self.n_qubits}")
-
-
-def states_equal(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:
-    """Equality up to global phase."""
-    return 1.0 - a.fidelity(b) < tol

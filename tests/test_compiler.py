@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repdtc import (
     ChainLayout,
@@ -14,9 +16,9 @@ from repdtc import (
     verify_equivalence,
 )
 from repdtc.compiler import (
+    Circuit,
     CompilationError,
-    NativeCircuit,
-    NativeGate,
+    ISwapRotation,
     decompose_i1,
     decompose_i2,
     decompose_i3,
@@ -26,7 +28,12 @@ from repdtc.compiler import (
     lower_rotation_native,
     lower_to_native,
 )
-from repdtc.models import build_transversal_ccnot_layer
+from repdtc.models import (
+    MODEL_SPECS,
+    CnotParams,
+    ModelParams,
+    build_transversal_ccnot_layer,
+)
 
 from conftest import circuit_unitary, dense_rotation, phase_distance
 
@@ -117,8 +124,9 @@ class TestGadgets:
     def test_dressings_stay_quarter_turns(self):
         target = PauliString.from_ops(4, {0: "Z", 3: "Z"})
         seq = decompose_i3(target, 0.123)
+        core = len(seq) // 2
         for i, rot in enumerate(seq.rotations):
-            if i in seq.core_indices:
+            if i == core:
                 assert rot.angle == 0.123
             else:
                 assert abs(rot.angle) == pytest.approx(math.pi / 4)
@@ -126,10 +134,11 @@ class TestGadgets:
     def test_without_cores_collapses_to_identity(self):
         target = PauliString.from_ops(4, {0: "Z", 3: "X"})
         seq = decompose_i2(target, 0.9)
+        core = len(seq) // 2
 
         def apply_dressings(state):
             for i, rot in enumerate(seq.rotations):
-                if i not in seq.core_indices:
+                if i != core:
                     state.apply_rotation(rot)
 
         got = circuit_unitary(apply_dressings, 4)
@@ -279,15 +288,13 @@ class TestNativeLowering:
     def test_two_qubit_blocks_match_dense(self, ops):
         theta = 0.37
         rot = PauliRotation(PauliString.from_ops(2, ops), theta)
-        circuit = NativeCircuit(2, tuple(lower_rotation_native(rot)))
+        circuit = Circuit(2, tuple(lower_rotation_native(rot)))
         got = circuit_unitary(circuit.apply_to, 2)
         assert np.allclose(got, target_unitary(rot.pauli, theta), atol=1e-12)
 
     def test_weight_one_single_gate(self):
         rot = PauliRotation(PauliString.from_ops(3, {1: "Y"}), 0.2)
-        gates = lower_rotation_native(rot)
-        assert len(gates) == 1
-        assert gates[0].name == "RY" and gates[0].qubits == (1,)
+        assert lower_rotation_native(rot) == [rot]
 
     def test_weight_zero_drops(self):
         rot = PauliRotation(PauliString.identity(2), 0.3)
@@ -302,29 +309,43 @@ class TestNativeLowering:
         layout = ChainLayout(2, 2)
         program = build_model("u4", layout, ideal_model_params("u4", layout))
         native = lower_program(program, "native-iswap")
-        assert isinstance(native, NativeCircuit)
+        assert isinstance(native, Circuit)
         assert verify_equivalence(program, native) < 1e-10
 
     def test_iswap_count_is_two_per_entangler(self):
         rot = PauliRotation(PauliString.from_ops(2, {0: "Z", 1: "X"}), 0.3)
-        names = [g.name for g in lower_rotation_native(rot)]
-        assert names.count("ISWAP") + names.count("ISWAPINV") == 2
+        entries = lower_rotation_native(rot)
+        angles = [e.angle for e in entries if isinstance(e, ISwapRotation)]
+        assert sorted(angles) == [-math.pi / 4, math.pi / 4]
+
+    def test_every_level_returns_a_circuit(self):
+        layout = ChainLayout(2, 3)
+        params = ideal_model_params("u4lr", layout, long_range=np.ones((2, 3, 3)))
+        program = build_model("u4lr", layout, params)
+        for level in ("pauli-layers", "local-gadgets", "native-iswap"):
+            circuit = lower_program(program, level)
+            assert isinstance(circuit, Circuit)
+            assert circuit.n_qubits == 6
+        assert lower_program(program, "pauli-layers").rotations == tuple(
+            program.all_rotations()
+        )
 
 
 def per_gate_noisy_period(circuit, state, rng, single_error, iswap_error):
-    """Reference period: one scalar noise draw per noisy gate, in gate order."""
-    for gate in circuit.gates:
-        iswap = gate.name in ("ISWAP", "ISWAPINV")
-        angle = math.pi / 4 if iswap else gate.angle
+    """Reference period: one scalar noise draw per noisy gate, in gate order.
+
+    The inverse iSWAP's noisy angle is formed as -(pi/4 * (1 + eps)),
+    which equals (-pi/4) * (1 + eps) exactly.
+    """
+    for entry in circuit.rotations:
+        iswap = isinstance(entry, ISwapRotation)
         width = iswap_error if iswap else single_error
-        if width > 0.0:
-            angle *= 1.0 + rng.uniform(-width, width)
+        scale = 1.0 + rng.uniform(-width, width) if width > 0.0 else 1.0
         if iswap:
-            state.apply_iswap(*gate.qubits, inverse=gate.name == "ISWAPINV", angle=angle)
+            sign = 1.0 if entry.angle > 0 else -1.0
+            state.apply_iswap(*entry.qubits, angle=sign * (math.pi / 4 * scale))
         else:
-            letter = gate.name[1]
-            pauli = PauliString.from_ops(state.n_qubits, {gate.qubits[0]: letter})
-            state.apply_rotation(PauliRotation(pauli, angle))
+            state.apply_rotation(PauliRotation(entry.pauli, entry.angle * scale))
 
 
 class TestNativeNoise:
@@ -348,25 +369,52 @@ class TestNativeNoise:
         assert np.array_equal(got.amplitudes, want.amplitudes)
 
     def test_noise_without_stream_is_refused(self):
-        circuit = NativeCircuit(1, (NativeGate("RX", (0,), 0.3),))
+        rx = PauliRotation(PauliString.from_ops(1, {0: "X"}), 0.3)
+        circuit = Circuit(1, (rx,))
         with pytest.raises(ValueError):
             circuit.apply_to(StateVector(1), single_error=0.01)
 
 
-class TestNativeTextFormat:
-    def test_roundtrip(self):
-        layout = ChainLayout(2, 2)
-        program = build_model("u4", layout, ideal_model_params("u4", layout))
-        native = lower_program(program, "native-iswap")
-        text = native.to_text()
-        back = NativeCircuit.from_text(text, native.n_qubits)
-        assert back == native
+@st.composite
+def small_programs(draw, model):
+    """``model`` on at most six qubits with random couplings and angles.
 
-    def test_angle_precision_survives(self):
-        gate = NativeGate("RX", (0,), 0.1234567890123456789)
-        circuit = NativeCircuit(1, (gate,))
-        back = NativeCircuit.from_text(circuit.to_text(), 1)
-        assert back.gates[0].angle == gate.angle
+    u2n stops at three chains: four or more have no local lowering.
+    """
+    spec = MODEL_SPECS[model]
+    chains = spec.chains or draw(st.integers(2, 3))
+    sites = draw(st.integers(2, 6 // chains))
+    angle = st.floats(-math.pi, math.pi, allow_nan=False)
+
+    def values(*shape):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(angle, min_size=size, max_size=size))).reshape(
+            shape
+        )
+
+    params = ModelParams(
+        couplings=None if spec.long_range else values(chains, sites - 1),
+        x_field=values(sites),
+        z_field=values(sites) if spec.z_field else None,
+        cnots=tuple(
+            CnotParams(values(sites), values(sites), values(sites)) for _ in spec.cnots
+        ),
+        scales=tuple(values(sites) for _ in spec.ladder(chains)),
+        long_range=values(chains, sites, sites) if spec.long_range else None,
+        alpha=draw(st.floats(0.5, 3.0)),
+    )
+    return build_model(model, ChainLayout(chains, sites), params)
+
+
+class TestLoweringProperty:
+    # One test per registry model, so that every model is drawn.
+    @pytest.mark.parametrize("model", sorted(MODEL_SPECS))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=12)
+    @given(data=st.data())
+    def test_lowered_levels_match_the_program(self, model, data):
+        program = data.draw(small_programs(model))
+        for level in ("local-gadgets", "native-iswap"):
+            assert verify_equivalence(program, lower_program(program, level)) < 1e-10
 
 
 class TestVerifyEquivalence:

@@ -197,6 +197,14 @@ class TestSampleModelParams:
                     else:
                         assert lr[c][j][k] == 0.0
 
+    def test_long_range_draws_no_nearest_neighbor_couplings(self):
+        layout = ChainLayout(2, 4)
+        specs = (DisorderSpec(1.5, 0.5), DisorderSpec(2.5, 0.5))
+        lr = sample_model_params(ModelDisorder("u4lr", layout, specs), SeedPlan(11), 0)
+        nn = sample_model_params(ModelDisorder("u4", layout, specs), SeedPlan(11), 0)
+        assert lr.couplings is None
+        assert nn.couplings.shape == (2, 3)
+
     def test_u3_has_three_cnot_layers(self):
         layout = ChainLayout(3, 2)
         disorder = ModelDisorder(

@@ -338,6 +338,8 @@ class TestRunExperiment:
         assert all(1 <= k < cfg.cycles for k in record.argmax_bins)
         assert record.readout_series.meta["chain"] == 1
         assert record.program_summary["ops_per_period"] > 0
+        assert record.estimate_seconds == estimate_seconds(cfg)
+        assert record.to_dict()["estimate_seconds"] == record.estimate_seconds
 
     def test_readout_scope_differs_from_full_average(self):
         record = run_experiment(small_config())
@@ -473,6 +475,7 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "subharmonic score" in printed
         assert "chain 1 readout" in printed
+        assert "estimate/actual" in printed
         assert (out / "record.json").exists()
 
     def test_run_bad_env_seed_exits_2(self, capsys, monkeypatch):
@@ -488,6 +491,29 @@ class TestCli:
         assert cli.main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert "couplings.chain0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("seed = 5\n", "seed = 5\nalpha = abc\n", "experiment.alpha"),
+            ("seed = 5\n", "seed = 5\nshots = 1.5\n", "experiment.shots"),
+            ("seed = 5\n", "seed = 5\nshots = -5\n", "shots: must be positive"),
+            ("seed = 5\n", "seed = 5\nmeasure_qubit = -1\n", "measure_qubit: -1"),
+            ("seed = 5\n", "seed = 5\ninit_angle = nan\n", "experiment.init_angle"),
+            (
+                "realizations = 2",
+                "realisations = 50",
+                "did you mean experiment.realizations",
+            ),
+            ("[error]", "[eror]", "did you mean error"),
+        ],
+    )
+    def test_run_bad_config_entry_exits_2(self, tmp_path, capsys, old, new, named):
+        path = tmp_path / "bad.cfg"
+        path.write_text(CONFIG_TEXT.replace(old, new))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
     def test_run_zero_threads_exits_2(self, capsys):
         assert cli.main(["run", "ideal-u4", "--threads", "0"]) == 2

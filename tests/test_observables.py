@@ -126,11 +126,14 @@ class TestStroboscopicRun:
             stroboscopic_run(FlipCircuit(2), state, 2, per_qubit=True, qubit=0)
 
     def test_noise_requires_native_circuit(self):
-        state = prepare_initial_state(2)
-        noise = TemporalNoise(single_error=0.01)
-        with pytest.raises(ValueError):
+        layout = ChainLayout(2, 2)
+        program = build_model("u4", layout, ideal_u4_params(layout))
+        with pytest.raises(ValueError, match="native"):
             stroboscopic_run(
-                FlipCircuit(2), state, 2, noise=noise,
+                lower_program(program, "pauli-layers"),
+                prepare_initial_state(layout),
+                2,
+                noise=TemporalNoise(single_error=0.01),
                 noise_rng=np.random.default_rng(0),
             )
 
