@@ -22,9 +22,7 @@ from .compiler import (
 )
 from .disorder import (
     DisorderSpec,
-    ModelDisorder,
     SeedPlan,
-    TemporalNoise,
     sample_error_fraction,
     sample_init_jitter,
     sample_model_params,

@@ -95,10 +95,13 @@ class Circuit:
 
         Rotation angles are scaled by (1 + eps) with eps uniform within
         +-single_error; iSWAP angles likewise within +-iswap_error.
-        Noise needs an rng and a native circuit.  One cycle's noise is
-        one vector draw over the noisy entries in order, which consumes
-        the stream exactly as one scalar draw per entry would.
+        Noise needs an rng, a native circuit and nonnegative widths.
+        One cycle's noise is one vector draw over the noisy entries in
+        order, which consumes the stream exactly as one scalar draw per
+        entry would.
         """
+        if single_error < 0.0 or iswap_error < 0.0:
+            raise ValueError("noise half-widths must be nonnegative")
         entries = self.rotations
         if single_error > 0.0 or iswap_error > 0.0:
             entries = self._noisy_entries(rng, single_error, iswap_error)

@@ -13,10 +13,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .models import ChainLayout, CnotParams, ModelParams, model_spec
+from .models import CnotParams, ModelParams, model_spec
+
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
 
 IDEAL_X = math.pi / 2
 IDEAL_ZX = math.pi / 4
@@ -89,68 +93,19 @@ def sample_error_fraction(
     return magnitude
 
 
-@dataclass(frozen=True)
-class TemporalNoise:
-    """Fresh per-gate angle jitter, as fractional half-widths.
-
-    ``single_error`` scales every single-qubit rotation angle by
-    (1 + eps), |eps| <= single_error; ``iswap_error`` does the same for
-    iSWAP angles.  Requires the native-iswap lowering level.
-    """
-
-    single_error: float = 0.0
-    iswap_error: float = 0.0
-
-    def __post_init__(self):
-        if self.single_error < 0 or self.iswap_error < 0:
-            raise ValueError("noise half-widths must be nonnegative")
-
-    @property
-    def active(self) -> bool:
-        return self.single_error > 0.0 or self.iswap_error > 0.0
-
-
-@dataclass(frozen=True)
-class ModelDisorder:
-    """Per-family randomness of one experiment.
-
-    Ising couplings always come from explicit intervals, one spec per
-    chain.  Gate angles come either from explicit intervals (``x_spec``,
-    ``cnot_spec``, optional ``scale_spec``) or, when ``error_fraction``
-    is set, from ideal values scaled by (1 + eps) with |eps| drawn from
-    the given [low, high] interval, independently per parameter.
-    """
-
-    model: str
-    layout: ChainLayout
-    coupling_specs: tuple[DisorderSpec, ...]
-    x_spec: DisorderSpec | None = None
-    cnot_spec: DisorderSpec | None = None
-    scale_spec: DisorderSpec | None = None
-    z_spec: DisorderSpec | None = None
-    error_fraction: tuple[float, float] | None = None
-    error_signed: bool = True
-    alpha: float = 1.5
-
-    def __post_init__(self):
-        if len(self.coupling_specs) != self.layout.n_chains:
-            raise ValueError("need one coupling spec per chain")
-        if self.error_fraction is not None:
-            low, high = self.error_fraction
-            if not 0 <= low <= high:
-                raise ValueError("error fraction interval must satisfy 0 <= low <= high")
-            if self.x_spec is not None or self.cnot_spec is not None:
-                raise ValueError(
-                    "error-fraction mode and explicit gate intervals are exclusive"
-                )
-
-
 def sample_model_params(
-    disorder: ModelDisorder, plan: SeedPlan, realization: int
+    config: ExperimentConfig, plan: SeedPlan, realization: int
 ) -> ModelParams:
-    """Draw one realization of every model parameter."""
-    layout = disorder.layout
-    spec = model_spec(disorder.model)
+    """Draw one realization of every model parameter of ``config``.
+
+    Ising couplings always come from the per-chain intervals.  Gate
+    angles come either from explicit intervals (``x_spec``,
+    ``cnot_spec``, ``scale_spec``) or, when ``error_fraction`` is set,
+    from ideal values scaled by (1 + eps) with |eps| drawn from that
+    [low, high] interval, independently per parameter.
+    """
+    layout = config.layout
+    spec = model_spec(config.model)
     sites = layout.sites
 
     def gate_angles(
@@ -161,10 +116,10 @@ def sample_model_params(
         values = np.empty(sites)
         for j in range(sites):
             address = f"{purpose}/s{j}"
-            if disorder.error_fraction is not None:
-                low, high = disorder.error_fraction
+            if config.error_fraction is not None:
+                low, high = config.error_fraction
                 stream = plan.stream(realization, address)
-                eps = sample_error_fraction(stream, low, high, disorder.error_signed)
+                eps = sample_error_fraction(stream, low, high, config.error_signed)
                 values[j] = ideal * (1.0 + eps)
             elif interval is not None:
                 values[j] = interval.draw(plan, realization, address)
@@ -175,7 +130,7 @@ def sample_model_params(
     couplings = long_range = None
     if spec.long_range:
         long_range = np.zeros((layout.n_chains, sites, sites))
-        for c, coupling in enumerate(disorder.coupling_specs):
+        for c, coupling in enumerate(config.coupling_specs):
             for j in range(1, sites):
                 for k in range(j):
                     long_range[c][j][k] = coupling.draw(
@@ -183,15 +138,15 @@ def sample_model_params(
                     )
     else:
         couplings = np.zeros((layout.n_chains, sites - 1))
-        for c, coupling in enumerate(disorder.coupling_specs):
+        for c, coupling in enumerate(config.coupling_specs):
             for b in range(sites - 1):
                 couplings[c][b] = coupling.draw(plan, realization, f"J/c{c}/b{b}")
 
     z_field = None
-    if spec.z_field and disorder.z_spec is not None:
+    if spec.z_field and config.z_spec is not None:
         z_field = np.array(
             [
-                disorder.z_spec.draw(plan, realization, f"hz/s{j}")
+                config.z_spec.draw(plan, realization, f"hz/s{j}")
                 for j in range(sites)
             ]
         )
@@ -199,15 +154,15 @@ def sample_model_params(
     cnots = []
     for i in range(len(spec.cnots)):
         angles = {
-            comp: sign * gate_angles(f"cnot{i}/{comp}", IDEAL_ZX, disorder.cnot_spec)
+            comp: sign * gate_angles(f"cnot{i}/{comp}", IDEAL_ZX, config.cnot_spec)
             for comp, sign in CNOT_SIGNS.items()
         }
         cnots.append(CnotParams(**angles))
     scales = tuple(
-        gate_angles(f"scale{i}", 1.0, disorder.scale_spec)
+        gate_angles(f"scale{i}", 1.0, config.scale_spec)
         for i in range(len(spec.ladder(layout.n_chains)))
     )
-    x_field = gate_angles("h", IDEAL_X, disorder.x_spec)
+    x_field = gate_angles("h", IDEAL_X, config.x_spec)
 
     return ModelParams(
         couplings=couplings,
@@ -216,7 +171,7 @@ def sample_model_params(
         cnots=tuple(cnots),
         scales=scales,
         long_range=long_range,
-        alpha=disorder.alpha,
+        alpha=config.alpha,
     )
 
 

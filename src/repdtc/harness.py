@@ -22,12 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .compiler import LOWERING_LEVELS, lower_program
+from .compiler import LOWERING_LEVELS, CompilationError, lower_program
 from .disorder import (
     DisorderSpec,
-    ModelDisorder,
     SeedPlan,
-    TemporalNoise,
     sample_init_jitter,
     sample_model_params,
 )
@@ -127,20 +125,6 @@ class ExperimentConfig:
         if self.measure_qubit is not None:
             return None
         return readout_chain(self.model, self.chains)
-
-    def to_model_disorder(self) -> ModelDisorder:
-        return ModelDisorder(
-            model=self.model,
-            layout=self.layout,
-            coupling_specs=self.coupling_specs,
-            x_spec=self.x_spec,
-            cnot_spec=self.cnot_spec,
-            scale_spec=self.scale_spec,
-            z_spec=self.z_spec,
-            error_fraction=self.error_fraction,
-            error_signed=self.error_signed,
-            alpha=self.alpha,
-        )
 
     def validate(self) -> None:
         spec = MODEL_SPECS.get(self.model)
@@ -470,8 +454,11 @@ def describe(name: str) -> str:
 
 
 def _build_realization(config: ExperimentConfig, plan: SeedPlan, realization: int):
-    """(program, circuit) of one realization: sample, build, lower."""
-    params = sample_model_params(config.to_model_disorder(), plan, realization)
+    """(program, circuit) of one realization: validate, sample, build,
+    lower.  ``run_realization`` and ``estimate_seconds`` are public, so
+    the config is checked here, where it becomes parameters."""
+    config.validate()
+    params = sample_model_params(config, plan, realization)
     program = build_model(config.model, config.layout, params)
     return program, lower_program(program, config.lowering)
 
@@ -493,10 +480,11 @@ def estimate_seconds(config: ExperimentConfig, circuit=None) -> float:
 def run_realization(config: ExperimentConfig, realization: int) -> np.ndarray:
     """Full single-realization pipeline; pure function of (config, r).
 
-    Returns a (rows, cycles + 1) array.  Row 0 is the recorded series
-    (full average, or the measured qubit); in exact full-average mode
-    rows 1..chains hold the per-chain mean magnetizations so the scored
-    readout series needs no second evolution.
+    Returns a (rows, cycles + 1) array.  Row 0 is the recorded series:
+    the mean <Z> of the measured qubits (all of them, or
+    ``measure_qubit``).  When ``config.readout()`` names a chain, row 1
+    is that chain's mean, so the scored readout series needs no second
+    evolution.
     """
     plan = SeedPlan(config.seed)
     _, circuit = _build_realization(config, plan, realization)
@@ -506,34 +494,25 @@ def run_realization(config: ExperimentConfig, realization: int) -> np.ndarray:
             plan, realization, config.n_qubits, config.init_jitter
         )
     state = prepare_initial_state(config.layout, config.init_angle, jitter)
-    noise = None
-    noise_rng = None
-    if config.noise_single > 0 or config.noise_iswap > 0:
-        noise = TemporalNoise(config.noise_single, config.noise_iswap)
-        noise_rng = plan.stream(realization, "noise")
-    shots_rng = (
-        plan.stream(realization, "shots") if config.shots is not None else None
-    )
-    per_qubit = config.measure_qubit is None and config.shots is None
-    series = stroboscopic_run(
+    z = stroboscopic_run(
         circuit,
         state,
         config.cycles,
         qubit=config.measure_qubit,
         shots=config.shots,
-        shots_rng=shots_rng,
-        noise=noise,
-        noise_rng=noise_rng,
-        per_qubit=per_qubit,
+        shots_rng=plan.stream(realization, "shots"),
+        rng=plan.stream(realization, "noise"),
+        single_error=config.noise_single,
+        iswap_error=config.noise_iswap,
     )
-    if not per_qubit:
-        return series.values[np.newaxis, :]
-    sites = config.sites
-    chain_rows = [
-        series.qubit_values[c * sites : (c + 1) * sites].mean(axis=0)
-        for c in range(config.chains)
-    ]
-    return np.vstack([series.values] + chain_rows)
+    # The mean of each column on its own: z.mean(axis=0) adds the rows
+    # in another order and rounds differently from eight qubits up.
+    rows = [[column.mean() for column in z.T]]
+    chain = config.readout()
+    if chain is not None:
+        sites = config.sites
+        rows.append(z[chain * sites : (chain + 1) * sites].mean(axis=0))
+    return np.array(rows)
 
 
 def _worker(payload: tuple[ExperimentConfig, int]) -> np.ndarray:
@@ -616,7 +595,13 @@ def run_experiment(
     config.validate()
     if workers < 1:
         raise ConfigError(f"workers: need at least 1, got {workers}")
-    program0, circuit0 = _build_realization(config, SeedPlan(config.seed), 0)
+    try:
+        program0, circuit0 = _build_realization(config, SeedPlan(config.seed), 0)
+    except CompilationError as exc:
+        raise ConfigError(
+            f"lowering: {config.lowering} cannot lower model {config.model} "
+            f"on {config.chains}x{config.sites}: {exc}"
+        ) from None
     estimate = estimate_seconds(config, circuit0)
     if estimate > max_seconds:
         raise CapacityError(
@@ -645,7 +630,7 @@ def run_experiment(
         readout_series = mean_series
     else:
         readout_list = [
-            TimeSeries(rows[1 + chain], {"realization": r, "chain": chain})
+            TimeSeries(rows[1], {"realization": r, "chain": chain})
             for r, rows in enumerate(all_rows)
         ]
         readout_series = average_series(readout_list)

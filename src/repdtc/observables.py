@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disorder import TemporalNoise
 from .pauli import PauliRotation, PauliString
 from .statevector import StateVector
 
@@ -25,20 +24,13 @@ _FLOOR_FRACTION = 1e-9
 
 @dataclass
 class TimeSeries:
-    """Per-cycle magnetization samples; values[0] is the initial state.
-
-    ``qubit_values``, when present, holds the per-qubit breakdown as a
-    (n_qubits, cycles + 1) array whose column mean reproduces ``values``.
-    """
+    """Per-cycle magnetization samples; values[0] is the initial state."""
 
     values: np.ndarray
     meta: dict = field(default_factory=dict)
-    qubit_values: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.qubit_values is not None:
-            self.qubit_values = np.asarray(self.qubit_values, dtype=float)
 
     @property
     def cycles(self) -> int:
@@ -90,25 +82,6 @@ def prepare_initial_state(
     return state
 
 
-def _measure(
-    state: StateVector,
-    qubit: int | None,
-    shots: int | None,
-    shots_rng: np.random.Generator | None,
-) -> float:
-    if shots is None:
-        if qubit is None:
-            return state.average_z()
-        return state.expectation_z(qubit)
-    if shots_rng is None:
-        raise ValueError("sampled measurement needs a random stream")
-    if qubit is None:
-        return float(
-            np.mean([state.sample_z(q, shots, shots_rng) for q in range(state.n_qubits)])
-        )
-    return state.sample_z(qubit, shots, shots_rng)
-
-
 def stroboscopic_run(
     circuit,
     state: StateVector,
@@ -117,50 +90,34 @@ def stroboscopic_run(
     qubit: int | None = None,
     shots: int | None = None,
     shots_rng: np.random.Generator | None = None,
-    noise: TemporalNoise | None = None,
-    noise_rng: np.random.Generator | None = None,
-    per_qubit: bool = False,
-    meta: dict | None = None,
-) -> TimeSeries:
-    """Evolve ``state`` in place for ``cycles`` periods, recording <S_z>.
+    **noise,
+) -> np.ndarray:
+    """Evolve ``state`` in place for ``cycles`` periods, recording <Z_q>.
 
-    ``circuit`` is a compiled ``Circuit`` (or anything with
-    apply_to(state)).  ``qubit`` narrows the measurement to one qubit;
-    ``shots`` switches to sampled estimates.  ``per_qubit`` additionally
-    records every qubit's exact <Z_q> series (exact full-average mode
-    only).  Temporal noise redraws gate angles every cycle, which the
-    circuit refuses unless it is native.
+    Returns a (measured qubits, cycles + 1) array: every qubit, or only
+    ``qubit`` when given; column j is read after j periods.  ``shots``
+    replaces each exact <Z_q> by the mean of that many sampled outcomes
+    drawn from ``shots_rng``.  ``noise`` holds the ``rng`` /
+    ``single_error`` / ``iswap_error`` keywords of ``circuit.apply_to``,
+    passed on every period.
     """
     if cycles < 1:
         raise ValueError("need at least one cycle")
-    noisy = noise is not None and noise.active
-    if per_qubit and (qubit is not None or shots is not None):
-        raise ValueError(
-            "per-qubit recording applies to the exact full-average mode"
-        )
-    values = np.empty(cycles + 1)
-    qubit_values = np.empty((state.n_qubits, cycles + 1)) if per_qubit else None
-
-    def record(j: int) -> None:
-        if per_qubit:
-            qubit_values[:, j] = state.expectation_z_all()
-            values[j] = qubit_values[:, j].mean()
+    if shots is not None and shots_rng is None:
+        raise ValueError("sampled measurement needs a random stream")
+    qubits = range(state.n_qubits) if qubit is None else (qubit,)
+    z = np.empty((len(qubits), cycles + 1))
+    for j in range(cycles + 1):
+        if j:
+            circuit.apply_to(state, **noise)
+        if shots is not None:
+            for row, q in enumerate(qubits):
+                z[row, j] = state.sample_z(q, shots, shots_rng)
+        elif qubit is None:
+            z[:, j] = state.expectation_z_all()
         else:
-            values[j] = _measure(state, qubit, shots, shots_rng)
-
-    record(0)
-    for j in range(1, cycles + 1):
-        if noisy:
-            circuit.apply_to(
-                state,
-                rng=noise_rng,
-                single_error=noise.single_error,
-                iswap_error=noise.iswap_error,
-            )
-        else:
-            circuit.apply_to(state)
-        record(j)
-    return TimeSeries(values, dict(meta or {}), qubit_values)
+            z[0, j] = state.expectation_z(qubit)
+    return z
 
 
 def power_spectrum(series: TimeSeries) -> Spectrum:

@@ -374,6 +374,17 @@ class TestNativeNoise:
         with pytest.raises(ValueError):
             circuit.apply_to(StateVector(1), single_error=0.01)
 
+    @pytest.mark.parametrize(
+        "widths", [{"single_error": -0.01}, {"iswap_error": -0.01}]
+    )
+    def test_negative_noise_width_is_refused(self, widths):
+        rx = PauliRotation(PauliString.from_ops(2, {0: "X"}), 0.3)
+        circuit = Circuit(2, (rx, ISwapRotation((0, 1), math.pi / 4)))
+        state = StateVector(2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            circuit.apply_to(state, rng=np.random.default_rng(0), **widths)
+        assert np.array_equal(state.amplitudes, StateVector(2).amplitudes)
+
 
 @st.composite
 def small_programs(draw, model):

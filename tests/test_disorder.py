@@ -3,19 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from repdtc import ChainLayout
 from repdtc.disorder import (
     CNOT_SIGNS,
     IDEAL_X,
     IDEAL_ZX,
     DisorderSpec,
-    ModelDisorder,
     SeedPlan,
-    TemporalNoise,
     sample_error_fraction,
     sample_init_jitter,
     sample_model_params,
 )
+from repdtc.harness import ExperimentConfig
 
 
 class TestSeedPlan:
@@ -86,43 +84,20 @@ class TestErrorFraction:
         assert sample_error_fraction(stream, 0.0, 0.0, True) == 0.0
 
 
-class TestTemporalNoise:
-    def test_active_flag(self):
-        assert not TemporalNoise().active
-        assert TemporalNoise(single_error=0.005).active
-        assert TemporalNoise(iswap_error=0.04).active
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            TemporalNoise(single_error=-0.1)
-
-
 def u4_disorder(**kw):
-    layout = ChainLayout(2, 4)
+    """A 2x4 u4 run description; only its parameter fields matter here."""
     base = dict(
+        name="disorder",
         model="u4",
-        layout=layout,
+        chains=2,
+        sites=4,
+        realizations=1,
+        cycles=8,
+        seed=0,
         coupling_specs=(DisorderSpec(1.5, 0.5), DisorderSpec(2.5, 0.5)),
     )
     base.update(kw)
-    return ModelDisorder(**base)
-
-
-class TestModelDisorderValidation:
-    def test_spec_count_must_match_chains(self):
-        with pytest.raises(ValueError):
-            ModelDisorder("u4", ChainLayout(2, 4), (DisorderSpec(1.0, 0.1),))
-
-    def test_error_fraction_excludes_explicit_specs(self):
-        with pytest.raises(ValueError):
-            u4_disorder(
-                error_fraction=(0.05, 0.10),
-                x_spec=DisorderSpec(1.0, 0.1),
-            )
-
-    def test_error_fraction_interval_ordering(self):
-        with pytest.raises(ValueError):
-            u4_disorder(error_fraction=(0.2, 0.1))
+    return ExperimentConfig(**base)
 
 
 class TestSampleModelParams:
@@ -180,13 +155,7 @@ class TestSampleModelParams:
             assert np.all(np.abs(ratio) <= 0.10 + 1e-12)
 
     def test_long_range_lower_triangle(self):
-        layout = ChainLayout(2, 4)
-        disorder = ModelDisorder(
-            "u4lr",
-            layout,
-            (DisorderSpec(1.5, 0.5), DisorderSpec(2.5, 0.5)),
-        )
-        params = sample_model_params(disorder, SeedPlan(11), 0)
+        params = sample_model_params(u4_disorder(model="u4lr"), SeedPlan(11), 0)
         lr = params.long_range
         assert lr.shape == (2, 4, 4)
         for c in range(2):
@@ -198,25 +167,27 @@ class TestSampleModelParams:
                         assert lr[c][j][k] == 0.0
 
     def test_long_range_draws_no_nearest_neighbor_couplings(self):
-        layout = ChainLayout(2, 4)
-        specs = (DisorderSpec(1.5, 0.5), DisorderSpec(2.5, 0.5))
-        lr = sample_model_params(ModelDisorder("u4lr", layout, specs), SeedPlan(11), 0)
-        nn = sample_model_params(ModelDisorder("u4", layout, specs), SeedPlan(11), 0)
+        lr = sample_model_params(u4_disorder(model="u4lr"), SeedPlan(11), 0)
+        nn = sample_model_params(u4_disorder(), SeedPlan(11), 0)
         assert lr.couplings is None
         assert nn.couplings.shape == (2, 3)
 
     def test_u3_has_three_cnot_layers(self):
-        layout = ChainLayout(3, 2)
-        disorder = ModelDisorder(
-            "u3", layout, tuple(DisorderSpec(1.0, 0.5) for _ in range(3))
+        disorder = u4_disorder(
+            model="u3",
+            chains=3,
+            sites=2,
+            coupling_specs=tuple(DisorderSpec(1.0, 0.5) for _ in range(3)),
         )
         params = sample_model_params(disorder, SeedPlan(1), 0)
         assert len(params.cnots) == 3
 
     def test_u2n_scale_layer_count(self):
-        layout = ChainLayout(4, 2)
-        disorder = ModelDisorder(
-            "u2n", layout, tuple(DisorderSpec(1.0, 0.5) for _ in range(4))
+        disorder = u4_disorder(
+            model="u2n",
+            chains=4,
+            sites=2,
+            coupling_specs=tuple(DisorderSpec(1.0, 0.5) for _ in range(4)),
         )
         params = sample_model_params(disorder, SeedPlan(1), 0)
         assert len(params.scales) == 3

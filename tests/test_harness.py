@@ -21,6 +21,7 @@ from repdtc.harness import (
     load_config_file,
     resolve_config,
     run_experiment,
+    run_realization,
     write_outputs,
 )
 from repdtc.observables import subharmonic_score
@@ -135,6 +136,13 @@ class TestValidation:
         # beside it would be ignored.
         with pytest.raises(ConfigError, match="^error_fraction:"):
             replace(PRESETS["fig5a"], scale_spec=spec).validate()
+
+    def test_realization_pipeline_validates(self):
+        bad = small_config(coupling_specs=(DisorderSpec(1.5, 0.5),))
+        with pytest.raises(ConfigError, match="couplings"):
+            run_realization(bad, 0)
+        with pytest.raises(ConfigError, match="couplings"):
+            estimate_seconds(bad)
 
     def test_capacity_error_past_qubit_limit(self):
         cfg = small_config(sites=13)
@@ -352,6 +360,30 @@ class TestRunExperiment:
         assert record.readout_series is record.mean_series
         assert record.score == record.score_full
 
+    @pytest.mark.parametrize("shots", [None, 200], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("measure_qubit", [None, 3], ids=["all", "qubit3"])
+    def test_measurement_modes(self, shots, measure_qubit):
+        cfg = small_config(
+            sites=2, realizations=2, cycles=16, shots=shots, measure_qubit=measure_qubit
+        )
+        chain = cfg.readout()
+        assert chain == (1 if measure_qubit is None else None)
+        rows = run_realization(cfg, 1)
+        assert rows.shape == (1 if chain is None else 2, cfg.cycles + 1)
+        one = run_experiment(cfg, workers=1)
+        two = run_experiment(cfg, workers=2)
+        assert np.array_equal(one.series[1].values, rows[0])
+        for a, b in zip(one.series, two.series, strict=True):
+            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(one.readout_series.values, two.readout_series.values)
+        if chain is None:
+            assert one.readout_series is one.mean_series
+        else:
+            assert one.readout_series.meta["chain"] == chain
+            assert not np.array_equal(
+                one.readout_series.values, one.mean_series.values
+            )
+
     def test_spectra_averaging_mode(self):
         series_mode = run_experiment(small_config())
         spectra_mode = run_experiment(small_config(spectrum_average="spectra"))
@@ -514,6 +546,19 @@ class TestCli:
         assert cli.main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    def test_run_unlowerable_model_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "u2n.cfg"
+        path.write_text(
+            CONFIG_TEXT.replace("model = u4", "model = u2n")
+            .replace("chains = 2", "chains = 4")
+            .replace("sites = 3", "sites = 2")
+            .replace("chain1 = 2.5, 0.5", "chain1 = 2.5, 0.5\nchain2 = 1.0, 0.5\nchain3 = 2.0, 0.5")
+        )
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "lowering: local-gadgets cannot lower" in err
+        assert "Traceback" not in err
 
     def test_run_zero_threads_exits_2(self, capsys):
         assert cli.main(["run", "ideal-u4", "--threads", "0"]) == 2

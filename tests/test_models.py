@@ -16,7 +16,7 @@ from repdtc import (
     ideal_model_params,
     logical_basis_index,
 )
-from repdtc.disorder import DisorderSpec, ModelDisorder, SeedPlan, sample_model_params
+from repdtc.disorder import DisorderSpec, SeedPlan, sample_model_params
 from repdtc.floquet_oracle import check_quasienergy_spectrum
 from repdtc.harness import ConfigError, ExperimentConfig
 from repdtc.models import (
@@ -363,12 +363,6 @@ def test_registry_entry_drives_every_reader(model):
     ]
     assert ladder_entries == list(ladder)
 
-    couplings = tuple(DisorderSpec(1.0, 0.5) for _ in range(chains))
-    disorder = ModelDisorder(model, layout, couplings, error_fraction=(0.05, 0.1))
-    sampled = sample_model_params(disorder, SeedPlan(3), 0)
-    assert len(sampled.cnots) == len(spec.cnots)
-    assert len(sampled.scales) == len(ladder)
-
     config = ExperimentConfig(
         name=model,
         model=model,
@@ -377,10 +371,13 @@ def test_registry_entry_drives_every_reader(model):
         realizations=1,
         cycles=2 * spec.period(chains),
         seed=1,
-        coupling_specs=couplings,
+        coupling_specs=tuple(DisorderSpec(1.0, 0.5) for _ in range(chains)),
         error_fraction=(0.05, 0.1),
     )
     config.validate()
+    sampled = sample_model_params(config, SeedPlan(3), 0)
+    assert len(sampled.cnots) == len(spec.cnots)
+    assert len(sampled.scales) == len(ladder)
     off_rule = 1 if spec.chains is None else spec.chains + 1
     with pytest.raises(ConfigError, match="^chains:"):
         replace(config, chains=off_rule).validate()

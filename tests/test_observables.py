@@ -5,13 +5,8 @@ import pytest
 
 from repdtc import ChainLayout, StateVector, build_model
 from repdtc.compiler import lower_program
-from repdtc.disorder import (
-    DisorderSpec,
-    ModelDisorder,
-    SeedPlan,
-    TemporalNoise,
-    sample_model_params,
-)
+from repdtc.disorder import DisorderSpec, SeedPlan, sample_model_params
+from repdtc.harness import ExperimentConfig
 from repdtc.observables import (
     DEFAULT_TILT,
     SCORE_CAP,
@@ -43,10 +38,17 @@ class FlipCircuit:
 
 
 def ideal_u4_params(layout):
-    disorder = ModelDisorder(
-        "u4", layout, (DisorderSpec(1.5, 0.0), DisorderSpec(2.5, 0.0))
+    config = ExperimentConfig(
+        name="ideal",
+        model="u4",
+        chains=layout.n_chains,
+        sites=layout.sites,
+        realizations=1,
+        cycles=8,
+        seed=0,
+        coupling_specs=(DisorderSpec(1.5, 0.0), DisorderSpec(2.5, 0.0)),
     )
-    return sample_model_params(disorder, SeedPlan(0), 0)
+    return sample_model_params(config, SeedPlan(0), 0)
 
 
 class TestInitialState:
@@ -81,21 +83,26 @@ class TestTimeSeries:
 class TestStroboscopicRun:
     def test_period_doubled_magnetization(self):
         state = prepare_initial_state(2)
-        series = stroboscopic_run(FlipCircuit(2), state, 6)
+        z = stroboscopic_run(FlipCircuit(2), state, 6)
         c = math.cos(2 * DEFAULT_TILT)
-        assert np.allclose(series.values, [c, -c, c, -c, c, -c, c])
+        assert z.shape == (2, 7)
+        assert np.allclose(z, [[c, -c, c, -c, c, -c, c]] * 2)
 
-    def test_per_qubit_mean_matches_values(self):
-        state = prepare_initial_state(3)
-        series = stroboscopic_run(FlipCircuit(3), state, 4, per_qubit=True)
-        assert series.qubit_values.shape == (3, 5)
-        assert np.allclose(series.qubit_values.mean(axis=0), series.values)
+    def test_every_qubit_is_recorded(self):
+        jitter = np.array([0.0, 0.5, 1.0])
+        state = prepare_initial_state(3, jitter=jitter)
+        expected = state.expectation_z_all()
+        z = stroboscopic_run(FlipCircuit(3), state, 4)
+        assert z.shape == (3, 5)
+        assert np.array_equal(z[:, 0], expected)
+        assert np.allclose(z[:, 1], -expected)
 
     def test_single_qubit_measurement(self):
         state = prepare_initial_state(2)
-        series = stroboscopic_run(FlipCircuit(2), state, 3, qubit=1)
+        z = stroboscopic_run(FlipCircuit(2), state, 3, qubit=1)
         c = math.cos(2 * DEFAULT_TILT)
-        assert np.allclose(series.values, [c, -c, c, -c])
+        assert z.shape == (1, 4)
+        assert np.allclose(z[0], [c, -c, c, -c])
 
     def test_sampled_measurement_converges_and_repeats(self):
         c = math.cos(2 * DEFAULT_TILT)
@@ -104,10 +111,9 @@ class TestStroboscopicRun:
             state = prepare_initial_state(2)
             rng = np.random.default_rng(77)
             runs.append(
-                stroboscopic_run(
-                    FlipCircuit(2), state, 3, shots=20000, shots_rng=rng
-                ).values
+                stroboscopic_run(FlipCircuit(2), state, 3, shots=20000, shots_rng=rng)
             )
+        assert runs[0].shape == (2, 4)
         assert np.array_equal(runs[0], runs[1])
         assert np.max(np.abs(runs[0] - np.array([c, -c, c, -c]))) < 0.02
 
@@ -120,11 +126,6 @@ class TestStroboscopicRun:
         with pytest.raises(ValueError):
             stroboscopic_run(FlipCircuit(2), prepare_initial_state(2), 0)
 
-    def test_per_qubit_excludes_other_modes(self):
-        state = prepare_initial_state(2)
-        with pytest.raises(ValueError):
-            stroboscopic_run(FlipCircuit(2), state, 2, per_qubit=True, qubit=0)
-
     def test_noise_requires_native_circuit(self):
         layout = ChainLayout(2, 2)
         program = build_model("u4", layout, ideal_u4_params(layout))
@@ -133,30 +134,39 @@ class TestStroboscopicRun:
                 lower_program(program, "pauli-layers"),
                 prepare_initial_state(layout),
                 2,
-                noise=TemporalNoise(single_error=0.01),
-                noise_rng=np.random.default_rng(0),
+                rng=np.random.default_rng(0),
+                single_error=0.01,
             )
 
-    def test_inactive_noise_is_harmless(self):
-        state = prepare_initial_state(2)
-        series = stroboscopic_run(FlipCircuit(2), state, 2, noise=TemporalNoise())
-        assert len(series.values) == 3
+    def test_zero_noise_widths_are_harmless(self):
+        layout = ChainLayout(2, 2)
+        program = build_model("u4", layout, ideal_u4_params(layout))
+        native = lower_program(program, "native-iswap")
+        clean = stroboscopic_run(native, prepare_initial_state(layout), 2)
+        zero = stroboscopic_run(
+            native,
+            prepare_initial_state(layout),
+            2,
+            rng=np.random.default_rng(0),
+            single_error=0.0,
+            iswap_error=0.0,
+        )
+        assert np.array_equal(clean, zero)
 
     def test_noise_perturbs_native_run(self):
         layout = ChainLayout(2, 2)
         params = ideal_u4_params(layout)
         program = build_model("u4", layout, params)
         native = lower_program(program, "native-iswap")
-        clean = stroboscopic_run(
-            native, prepare_initial_state(layout), 5
-        ).values
+        clean = stroboscopic_run(native, prepare_initial_state(layout), 5)
         noisy = stroboscopic_run(
             native,
             prepare_initial_state(layout),
             5,
-            noise=TemporalNoise(single_error=0.02, iswap_error=0.02),
-            noise_rng=np.random.default_rng(5),
-        ).values
+            rng=np.random.default_rng(5),
+            single_error=0.02,
+            iswap_error=0.02,
+        )
         assert not np.allclose(clean, noisy)
         assert np.all(np.abs(noisy) <= 1.0 + 1e-12)
 
