@@ -142,6 +142,8 @@ class ExperimentConfig:
                 f"{self.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit "
                 "statevector capacity"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
         if self.realizations < 1:
             raise ConfigError("realizations: must be at least 1")
         if self.cycles < 2:
@@ -200,6 +202,8 @@ class ExperimentConfig:
                 "noise: temporal noise attaches to native gates; "
                 "set lowering = native-iswap"
             )
+        if not 0 <= self.init_jitter <= 1:
+            raise ConfigError("init_jitter: must lie in [0, 1]")
         if self.shots is not None and self.shots < 1:
             raise ConfigError("shots: must be positive (or omitted for exact)")
         if self.measure_qubit is not None and not (

@@ -7,7 +7,9 @@ as cos(theta)*psi - i*sin(theta)*(P psi), so no gate matrix is ever
 exponentiated.  A weight-1 rotation works in place on the two halves of
 an ``amplitudes.reshape(-1, 2, 2**q)`` view with scalar coefficients;
 a multi-qubit string gathers its flipped amplitudes through a cached
-index array.
+index array.  The amplitudes hold one state, shape ``(2**n,)``, or a
+block ``(B, 2**n)`` of one state per row, kept C-ordered: every gate
+acts on each row alike, while the readouts need one state.
 """
 
 from __future__ import annotations
@@ -125,9 +127,9 @@ class StateVector:
             amplitudes = np.zeros(1 << n_qubits, dtype=np.complex128)
             amplitudes[0] = 1.0
         else:
-            amplitudes = np.asarray(amplitudes, dtype=np.complex128)
-            if amplitudes.shape != (1 << n_qubits,):
-                raise ValueError("amplitude array has wrong length")
+            amplitudes = np.ascontiguousarray(amplitudes, dtype=np.complex128)
+            if amplitudes.ndim not in (1, 2) or amplitudes.shape[-1] != 1 << n_qubits:
+                raise ValueError("amplitude array has wrong shape")
         self.amplitudes = amplitudes
 
     @classmethod
@@ -180,7 +182,7 @@ class StateVector:
         # popcount(x & zy) offset on top of the parity at c itself.
         const = 1.0 if bin(x & zy).count("1") % 2 == 0 else -1.0
         coef = -1j * math.sin(theta) * (1j**ny) * const
-        gathered = amp.take(flip)
+        gathered = amp.take(flip, axis=-1)
         gathered *= signs
         self.amplitudes = math.cos(theta) * amp + coef * gathered
 

@@ -35,7 +35,7 @@ from repdtc.models import (
     build_transversal_ccnot_layer,
 )
 
-from conftest import circuit_unitary, dense_rotation, phase_distance
+from conftest import circuit_unitary, dense_iswap, dense_rotation, phase_distance
 
 
 def gadget_unitary(seq):
@@ -429,27 +429,29 @@ class TestLoweringProperty:
 
 
 class TestVerifyEquivalence:
-    def test_detects_mismatch(self):
-        a = PauliRotation(PauliString.from_ops(2, {0: "Z"}), 0.3)
-        b = PauliRotation(PauliString.from_ops(2, {0: "Z"}), 0.4)
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_detects_mismatch(self, n):
+        a = PauliRotation(PauliString.from_ops(n, {0: "Z"}), 0.3)
+        b = PauliRotation(PauliString.from_ops(n, {0: "Z"}), 0.4)
 
         class Wrap:
             def __init__(self, rot):
                 self.rot = rot
-                self.n_qubits = 2
+                self.n_qubits = n
 
             def apply_to(self, state):
                 state.apply_rotation(self.rot)
 
         assert verify_equivalence(Wrap(a), Wrap(b)) > 1e-3
 
-    def test_ignores_global_phase(self):
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_ignores_global_phase(self, n):
         class Plain:
-            n_qubits = 1
+            n_qubits = n
 
             def apply_to(self, state):
                 state.apply_rotation(
-                    PauliRotation(PauliString.from_ops(1, {0: "Z"}), 0.3)
+                    PauliRotation(PauliString.from_ops(n, {0: "Z"}), 0.3)
                 )
 
         class Phased(Plain):
@@ -458,6 +460,24 @@ class TestVerifyEquivalence:
                 state.amplitudes *= np.exp(0.77j)
 
         assert verify_equivalence(Plain(), Phased()) < 1e-12
+
+    def test_dense_callable_meets_block_circuit(self):
+        n = 7
+        circuit = Circuit(
+            n,
+            (
+                PauliRotation(PauliString.from_ops(n, {1: "Z", 5: "X"}), 0.4),
+                ISwapRotation((6, 2), math.pi / 4),
+            ),
+        )
+        dense = dense_iswap(n, 6, 2) @ dense_rotation(n, {1: "Z", 5: "X"}, 0.4)
+
+        def apply(state):
+            state.amplitudes = dense @ state.amplitudes
+
+        assert verify_equivalence(apply, circuit, n_qubits=n) < 1e-12
+        assert verify_equivalence(circuit, apply, n_qubits=n) < 1e-12
+        assert verify_equivalence(lambda s: None, circuit, n_qubits=n) > 0.1
 
     def test_refuses_large_register(self):
         layout = ChainLayout(2, 7)

@@ -532,6 +532,8 @@ class TestCli:
             ("seed = 5\n", "seed = 5\nshots = -5\n", "shots: must be positive"),
             ("seed = 5\n", "seed = 5\nmeasure_qubit = -1\n", "measure_qubit: -1"),
             ("seed = 5\n", "seed = 5\ninit_angle = nan\n", "experiment.init_angle"),
+            ("seed = 5\n", "seed = 5\ninit_jitter = 5\n", "init_jitter: must lie"),
+            ("seed = 5\n", "seed = 5\ninit_jitter = -0.5\n", "init_jitter: must lie"),
             (
                 "realizations = 2",
                 "realisations = 50",
@@ -546,6 +548,22 @@ class TestCli:
         assert cli.main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("route", ["file", "flag", "env"])
+    def test_run_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, route):
+        monkeypatch.delenv(ENV_SEED, raising=False)
+        path = tmp_path / "tiny.cfg"
+        path.write_text(CONFIG_TEXT.replace("seed = 5", "seed = -1"))
+        argv = {
+            "file": ["run", str(path)],
+            "flag": ["run", "ideal-u4", "--seed", "-1"],
+            "env": ["run", "ideal-u4"],
+        }[route]
+        if route == "env":
+            monkeypatch.setenv(ENV_SEED, "-5")
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "seed: must be nonnegative" in err and "Traceback" not in err
 
     def test_run_unlowerable_model_exits_2(self, tmp_path, capsys):
         path = tmp_path / "u2n.cfg"

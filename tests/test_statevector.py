@@ -203,6 +203,43 @@ def random_unitary4(rng):
     return q
 
 
+def test_block_evolves_each_row_as_one_state(rng):
+    """Every kernel on a (B, 2**n) block equals, bit for bit, row by row."""
+    n = 5
+    block = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
+
+    def rotation(ops, theta):
+        rot = PauliRotation(PauliString.from_ops(n, ops), theta)
+        return lambda s: s.apply_rotation(rot)
+
+    u2, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    u4 = random_unitary4(rng)
+    kernels = [rotation({}, 0.4)]
+    kernels += [
+        rotation({q: letter}, 0.3) for q in (0, 1, n - 1) for letter in "XYZ"
+    ]
+    kernels += [
+        rotation({0: "Z", 2: "Z", 4: "Z"}, 0.7),
+        rotation({1: "Z", 3: "X"}, -0.6),
+        rotation({0: "Y", 4: "Y"}, 1.1),
+        lambda s: s.apply_iswap(1, 3, angle=math.pi / 4),
+        lambda s: s.apply_iswap(4, 0, angle=-math.pi / 4),
+        lambda s: s.apply_single_qubit(2, u2),
+        lambda s: s.apply_two_qubit(3, 1, u4),
+    ]
+    for kernel in kernels:
+        for order in "CF":
+            state = StateVector(n, np.array(block, order=order))
+            kernel(state)
+            for row, got in zip(block, state.amplitudes):
+                alone = StateVector(n, row.copy())
+                kernel(alone)
+                assert np.array_equal(got, alone.amplitudes)
+    for bad in (np.ones((2, 2, 1 << n)), np.ones((2, (1 << n) + 1))):
+        with pytest.raises(ValueError):
+            StateVector(n, bad)
+
+
 class TestMeasurement:
     def test_expectation_z_on_basis_states(self):
         s = StateVector.basis_state(2, 2)
