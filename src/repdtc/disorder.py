@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .models import CnotParams, ModelParams, model_spec
+from .models import DEFAULT_ALPHA, CnotParams, ModelParams, model_spec
 
 if TYPE_CHECKING:
     from .harness import ExperimentConfig
@@ -171,7 +171,7 @@ def sample_model_params(
         cnots=tuple(cnots),
         scales=scales,
         long_range=long_range,
-        alpha=config.alpha,
+        alpha=DEFAULT_ALPHA if config.alpha is None else config.alpha,
     )
 
 

@@ -6,6 +6,13 @@ stroboscopically, and reduces the per-realization magnetization series
 into an averaged series, a spectrum, and subharmonic scores.  Every
 random draw is addressed by (seed, realization, purpose), so identical
 configs reproduce byte-identical CSV outputs for any worker count.
+
+``CONFIG_KEYS`` is the one place the rules of a config key live: its
+``section.key``, the ``ExperimentConfig`` field it fills, its parser, its
+domain and its file default.  ``load_config_file`` reads through it,
+``ExperimentConfig.validate`` checks every field against it before the
+rules that tie fields together, and ``apply_overrides`` parses
+``REPDTC_SEED`` with its seed entry.
 """
 
 from __future__ import annotations
@@ -16,8 +23,9 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,9 +80,141 @@ class CapacityError(RuntimeError):
     """Run refused because it exceeds the resource guardrail."""
 
 
+# -- config keys -------------------------------------------------------------
+
+_NO_DEFAULT = object()
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """One config file key, the only place its rules are written.
+
+    ``name`` is ``section.key`` (``{}`` is the chain index of a per-chain
+    key).  ``parse`` turns its text into the value of ``field``; ``what``
+    says how the text must look.  ``accepts`` tests the value and
+    ``rule`` says the same in words; None (key left out) always passes.
+    ``default``, a value or a function of the file path, is the file
+    default of a field the dataclass gives none.
+    """
+
+    name: str
+    field: str
+    parse: Callable[[str], object]
+    what: str
+    accepts: Callable[[object], bool] = lambda value: True
+    rule: str = ""
+    default: object = _NO_DEFAULT
+
+    def read(self, text: str, where: str):
+        try:
+            return self.parse(text.strip())
+        except (ValueError, KeyError):
+            raise ConfigError(f"{where}: expected {self.what}, got {text!r}") from None
+
+    def check(self, value, chain: int = 0):
+        try:
+            inside = value is None or self.accepts(value)
+        except TypeError:
+            inside = False
+        if not inside:
+            raise ConfigError(f"{self.name.format(chain)}: {self.rule}, got {value!r}")
+        return value
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _pair(text: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(text)
+    return _finite(parts[0]), _finite(parts[1])
+
+
+def _within(low, high, rule: str = "") -> tuple:
+    return (lambda x: low <= x <= high), rule or f"must lie in [{low:g}, {high:g}]"
+
+
+def _one_of(*choices) -> tuple:
+    return choices.__contains__, f"choose from {choices}"
+
+
+# Spec ends within +-1e6 keep high - low and every sum and product the
+# kernels form finite.  The long-range stabilizer divides J by
+# |j - k|**alpha with |j - k| <= 23 at 24 qubits; 23**100 is about 1e136,
+# so the quotient stays finite and normal for |alpha| <= 100.  Longer
+# counts trip the runtime guardrail anyway; the cap keeps its arithmetic,
+# and numpy's binomial draw of the shots, in range.
+_SPEC_BOUND, _ALPHA_BOUND, _COUNT_MAX = 1e6, 100, 10**9
+_INT = (int, "an integer")
+_FLOAT = (_finite, "a finite number")
+_TEXT = (str, "text")
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+_SPEC = (
+    lambda text: DisorderSpec(*_pair(text)),
+    "two finite numbers 'mean, half_width' with half_width >= 0",
+    lambda spec: -_SPEC_BOUND <= spec.low <= spec.high <= _SPEC_BOUND,
+    f"mean +- half_width must lie in [{-_SPEC_BOUND:g}, {_SPEC_BOUND:g}]",
+)
+_SHOTS = f"must be positive (or omitted for exact) and at most {_COUNT_MAX:g}"
+# Every key a config file may hold, keyed by field, in reading order:
+# chains comes before the per-chain couplings.  The range of
+# measure_qubit depends on the register, so validate checks it.
+CONFIG_KEYS: dict[str, ConfigKey] = {
+    key.field: key
+    for key in (
+        ConfigKey("experiment.name", "name", *_TEXT, default=lambda p: Path(p).stem),
+        ConfigKey("experiment.model", "model", *_TEXT, *_one_of(*MODEL_SPECS)),
+        ConfigKey("experiment.chains", "chains", *_INT, *_within(1, MAX_QUBITS // 2)),
+        ConfigKey("experiment.sites", "sites", *_INT, *_within(2, MAX_QUBITS)),
+        ConfigKey("experiment.realizations", "realizations", *_INT,
+                  *_within(1, _COUNT_MAX), default=1),
+        ConfigKey("experiment.cycles", "cycles", *_INT, *_within(2, _COUNT_MAX)),
+        ConfigKey("experiment.seed", "seed", *_INT,
+                  *_within(0, math.inf, "must be nonnegative"), default=0),
+        ConfigKey("couplings.chain{}", "coupling_specs", *_SPEC),
+        ConfigKey("x_field.spec", "x_spec", *_SPEC),
+        ConfigKey("cnot.spec", "cnot_spec", *_SPEC),
+        ConfigKey("scale.spec", "scale_spec", *_SPEC),
+        ConfigKey("z_field.spec", "z_spec", *_SPEC),
+        ConfigKey("error.fraction", "error_fraction", _pair, "two finite numbers",
+                  lambda v: 0 <= v[0] <= v[1] <= 1, "need 0 <= low <= high <= 1"),
+        ConfigKey("error.signed", "error_signed", _BOOLEANS.__getitem__,
+                  "true or false"),
+        ConfigKey("experiment.alpha", "alpha", *_FLOAT,
+                  *_within(-_ALPHA_BOUND, _ALPHA_BOUND)),
+        ConfigKey("experiment.lowering", "lowering", *_TEXT,
+                  *_one_of(*LOWERING_LEVELS)),
+        # A tilt and the tilt plus pi give the same state up to sign.
+        ConfigKey("experiment.init_angle", "init_angle", *_FLOAT,
+                  *_within(-math.pi, math.pi)),
+        ConfigKey("experiment.init_jitter", "init_jitter", *_FLOAT, *_within(0, 1)),
+        ConfigKey("noise.single", "noise_single", *_FLOAT,
+                  *_within(0, MAX_SINGLE_NOISE)),
+        ConfigKey("noise.iswap", "noise_iswap", *_FLOAT, *_within(0, MAX_ISWAP_NOISE)),
+        ConfigKey("experiment.shots", "shots", *_INT, *_within(1, _COUNT_MAX, _SHOTS)),
+        ConfigKey("experiment.measure_qubit", "measure_qubit", *_INT),
+        ConfigKey("experiment.targets", "targets",
+                  lambda text: tuple(_finite(t) for t in text.split(",") if t.strip()),
+                  "finite numbers separated by commas",
+                  lambda omegas: all(0 < omega < 2 * math.pi for omega in omegas),
+                  "each must lie in (0, 2*pi)"),
+        ConfigKey("experiment.spectrum_average", "spectrum_average", *_TEXT,
+                  *_one_of("series", "spectra")),
+    )
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment bit-exactly."""
+    """Everything needed to reproduce one experiment bit-exactly.
+
+    ``CONFIG_KEYS`` declares each field's key and domain.  Long-range
+    models read ``alpha``, and take ``models.DEFAULT_ALPHA`` for None."""
 
     name: str
     model: str
@@ -90,7 +230,7 @@ class ExperimentConfig:
     z_spec: DisorderSpec | None = None
     error_fraction: tuple[float, float] | None = None
     error_signed: bool = True
-    alpha: float = 1.5
+    alpha: float | None = None
     lowering: str = "pauli-layers"
     init_angle: float = DEFAULT_TILT
     init_jitter: float = 0.0
@@ -127,52 +267,40 @@ class ExperimentConfig:
         return readout_chain(self.model, self.chains)
 
     def validate(self) -> None:
-        spec = MODEL_SPECS.get(self.model)
-        if spec is None:
-            raise ConfigError(f"model: unknown model {self.model!r}")
+        """Each field against its key's domain, then the cross-field rules."""
+        for key in CONFIG_KEYS.values():
+            value = getattr(self, key.field)
+            for chain, entry in enumerate(value) if "{}" in key.name else [(0, value)]:
+                key.check(entry, chain)
+        spec = MODEL_SPECS[self.model]
         if not spec.allows(self.chains):
             raise ConfigError(
                 f"chains: model {self.model} needs {spec.chain_rule()} "
                 f"chains, got {self.chains}"
             )
-        if self.sites < 2:
-            raise ConfigError("sites: need at least two sites per chain")
         if self.n_qubits > MAX_QUBITS:
             raise CapacityError(
-                f"{self.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit "
-                "statevector capacity"
+                f"sites: {self.chains}x{self.sites} = {self.n_qubits} qubits "
+                f"exceeds the {MAX_QUBITS}-qubit statevector capacity"
             )
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
-        if self.realizations < 1:
-            raise ConfigError("realizations: must be at least 1")
-        if self.cycles < 2:
-            raise ConfigError("cycles: need at least 2 for a spectrum")
         if len(self.coupling_specs) != self.chains:
             raise ConfigError(
                 f"couplings: need one spec per chain "
                 f"({self.chains}), got {len(self.coupling_specs)}"
             )
-        if self.lowering not in LOWERING_LEVELS:
-            raise ConfigError(
-                f"lowering: unknown level {self.lowering!r}; "
-                f"choose from {LOWERING_LEVELS}"
-            )
-        gate_specs = (
+        # Values only some models read; anywhere else they would be ignored.
+        model_values = (
             ("cnot", self.cnot_spec, bool(spec.cnots)),
             ("scale", self.scale_spec, bool(spec.ladder(self.chains))),
             ("z_field", self.z_spec, spec.z_field),
+            ("alpha", self.alpha, spec.long_range),
         )
-        for section, value, used in gate_specs:
+        for name, value, used in model_values:
             if value is not None and not used:
                 raise ConfigError(
-                    f"{section}: model {self.model} has no {section} "
-                    "parameters; remove the spec"
+                    f"{name}: model {self.model} never reads {name}; remove it"
                 )
         if self.error_fraction is not None:
-            low, high = self.error_fraction
-            if not 0 <= low <= high:
-                raise ConfigError("error_fraction: need 0 <= low <= high")
             explicit = (self.x_spec, self.cnot_spec, self.scale_spec)
             if any(value is not None for value in explicit):
                 raise ConfigError(
@@ -184,17 +312,9 @@ class ExperimentConfig:
                     "x_field: spec required unless error_fraction mode is on"
                 )
             # cnot and scale specs are required where used; z fields stay optional.
-            for section, value, used in gate_specs[:2]:
+            for name, value, used in model_values[:2]:
                 if used and value is None:
-                    raise ConfigError(
-                        f"{section}: spec required for model {self.model}"
-                    )
-        if not 0 <= self.noise_single <= MAX_SINGLE_NOISE:
-            raise ConfigError(
-                f"noise_single: must lie in [0, {MAX_SINGLE_NOISE}]"
-            )
-        if not 0 <= self.noise_iswap <= MAX_ISWAP_NOISE:
-            raise ConfigError(f"noise_iswap: must lie in [0, {MAX_ISWAP_NOISE}]")
+                    raise ConfigError(f"{name}: spec required for model {self.model}")
         if (self.noise_single > 0 or self.noise_iswap > 0) and (
             self.lowering != "native-iswap"
         ):
@@ -202,10 +322,6 @@ class ExperimentConfig:
                 "noise: temporal noise attaches to native gates; "
                 "set lowering = native-iswap"
             )
-        if not 0 <= self.init_jitter <= 1:
-            raise ConfigError("init_jitter: must lie in [0, 1]")
-        if self.shots is not None and self.shots < 1:
-            raise ConfigError("shots: must be positive (or omitted for exact)")
         if self.measure_qubit is not None and not (
             0 <= self.measure_qubit < self.n_qubits
         ):
@@ -213,13 +329,10 @@ class ExperimentConfig:
                 f"measure_qubit: {self.measure_qubit} out of range for "
                 f"{self.n_qubits} qubits"
             )
-        if self.spectrum_average not in ("series", "spectra"):
-            raise ConfigError(
-                "spectrum_average: choose 'series' or 'spectra'"
-            )
         for omega in self.resolved_targets():
-            k = omega * self.cycles / (2 * math.pi)
-            if abs(k - round(k)) > 1e-9:
+            # The nearest non-DC bin, within the tolerance of Spectrum.bin_of.
+            k = min(max(round(omega * self.cycles / (2 * math.pi)), 1), self.cycles - 1)
+            if abs(2 * math.pi * k / self.cycles - omega) > 1e-9:
                 raise ConfigError(
                     f"targets: frequency {omega} is off the cycles={self.cycles} "
                     "grid; pick a cycle count commensurate with the period"
@@ -358,60 +471,29 @@ def _build_presets() -> dict[str, ExperimentConfig]:
         description="Reduced 2x4-chain version of fig4-analog for CI.",
     )
 
-    presets["ideal-u4"] = ExperimentConfig(
-        name="ideal-u4",
-        model="u4",
-        chains=2,
-        sites=4,
-        realizations=1,
-        cycles=64,
-        seed=11,
-        coupling_specs=(DisorderSpec(1.0), DisorderSpec(1.0)),
-        x_spec=DisorderSpec(_HALF_PI),
-        cnot_spec=DisorderSpec(_QUARTER_PI),
-        description="Zero-disorder period-4 drive; exact 4T response.",
-    )
-    presets["ideal-u3"] = ExperimentConfig(
-        name="ideal-u3",
-        model="u3",
-        chains=3,
-        sites=3,
-        realizations=1,
-        cycles=63,
-        seed=11,
-        coupling_specs=tuple(DisorderSpec(1.0) for _ in range(3)),
-        x_spec=DisorderSpec(_HALF_PI),
-        cnot_spec=DisorderSpec(_QUARTER_PI),
-        description="Zero-disorder period-3 drive; exact 3T logical cycles.",
-    )
-    presets["ideal-u8"] = ExperimentConfig(
-        name="ideal-u8",
-        model="u8",
-        chains=3,
-        sites=3,
-        realizations=1,
-        cycles=64,
-        seed=11,
-        coupling_specs=tuple(DisorderSpec(1.0) for _ in range(3)),
-        x_spec=DisorderSpec(_HALF_PI),
-        cnot_spec=DisorderSpec(_QUARTER_PI),
-        scale_spec=DisorderSpec(1.0),
-        description="Zero-disorder period-8 drive; exact 8T logical cycle.",
-    )
-    presets["ideal-u2n"] = ExperimentConfig(
-        name="ideal-u2n",
-        model="u2n",
-        chains=3,
-        sites=2,
-        realizations=1,
-        cycles=64,
-        seed=11,
-        coupling_specs=tuple(DisorderSpec(1.0) for _ in range(3)),
-        x_spec=DisorderSpec(_HALF_PI),
-        scale_spec=DisorderSpec(1.0),
-        description="Zero-disorder generalized ladder on three chains; "
-        "period 8 via the decrement action.",
-    )
+    # Zero-disorder runs: unit couplings, ideal gate angles, one realization.
+    cnot = {"cnot_spec": DisorderSpec(_QUARTER_PI)}
+    scale = {"scale_spec": DisorderSpec(1.0)}
+    for model, chains, sites, cycles, specs, what in (
+        ("u4", 2, 4, 64, cnot, "period-4 drive; exact 4T response."),
+        ("u3", 3, 3, 63, cnot, "period-3 drive; exact 3T logical cycles."),
+        ("u8", 3, 3, 64, {**cnot, **scale}, "period-8 drive; exact 8T logical cycle."),
+        ("u2n", 3, 2, 64, scale, "generalized ladder on three chains; "
+         "period 8 via the decrement action."),
+    ):
+        presets[f"ideal-{model}"] = ExperimentConfig(
+            name=f"ideal-{model}",
+            model=model,
+            chains=chains,
+            sites=sites,
+            realizations=1,
+            cycles=cycles,
+            seed=11,
+            coupling_specs=(DisorderSpec(1.0),) * chains,
+            x_spec=DisorderSpec(_HALF_PI),
+            description=f"Zero-disorder {what}",
+            **specs,
+        )
     return presets
 
 
@@ -554,27 +636,15 @@ class RunRecord:
 
     def to_dict(self) -> dict:
         cfg = self.config
+        echoed = (
+            "name", "model", "chains", "sites", "realizations", "cycles", "seed",
+            "lowering", "shots", "measure_qubit", "spectrum_average", "init_angle",
+            "init_jitter", "noise_single", "noise_iswap", "error_signed",
+        )
         return {
-            "name": cfg.name,
-            "model": cfg.model,
-            "chains": cfg.chains,
-            "sites": cfg.sites,
+            **{field: getattr(cfg, field) for field in echoed},
             "qubits": cfg.n_qubits,
-            "realizations": cfg.realizations,
-            "cycles": cfg.cycles,
-            "seed": cfg.seed,
-            "lowering": cfg.lowering,
-            "shots": cfg.shots,
-            "measure_qubit": cfg.measure_qubit,
-            "spectrum_average": cfg.spectrum_average,
-            "init_angle": cfg.init_angle,
-            "init_jitter": cfg.init_jitter,
-            "noise_single": cfg.noise_single,
-            "noise_iswap": cfg.noise_iswap,
-            "error_fraction": list(cfg.error_fraction)
-            if cfg.error_fraction
-            else None,
-            "error_signed": cfg.error_signed,
+            "error_fraction": list(cfg.error_fraction) if cfg.error_fraction else None,
             "param_specs": cfg.spec_summary(),
             "targets": list(cfg.resolved_targets()),
             "target_bins": self.target_bins,
@@ -617,7 +687,10 @@ def run_experiment(
 
     started = time.perf_counter()
     jobs = [(config, r) for r in range(config.realizations)]
-    if workers > 1 and config.realizations > 1:
+    # No more processes than jobs or usable cores; the pool forks all of
+    # them at the first submit, and the output does not depend on them.
+    workers = min(workers, config.realizations, len(os.sched_getaffinity(0)))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             all_rows = list(pool.map(_worker, jobs))
     else:
@@ -736,50 +809,6 @@ def write_outputs(record: RunRecord, out_dir: Path) -> dict[str, Path]:
 # -- config files ------------------------------------------------------------
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
-
-
-def _pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(text)
-    return _finite(parts[0]), _finite(parts[1])
-
-
-def _finite_list(text: str) -> tuple[float, ...]:
-    return tuple(_finite(part) for part in text.split(",") if part.strip())
-
-
-def _boolean(text: str) -> bool:
-    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-
-
-# Every section and key a config file may hold: key -> (parser, what the
-# value must look like).  [couplings] holds chain0 .. chain{chains-1}.
-_INT = (int, "an integer")
-_FLOAT = (_finite, "a finite number")
-_TEXT = (str, "text")
-_PAIR = (_pair, "two finite numbers 'a, b'")
-_SCHEMA: dict[str, dict[str, tuple]] = {
-    "experiment": {
-        **dict.fromkeys(("name", "model", "lowering", "spectrum_average"), _TEXT),
-        **dict.fromkeys(("chains", "sites", "realizations", "cycles"), _INT),
-        **dict.fromkeys(("seed", "shots", "measure_qubit"), _INT),
-        **dict.fromkeys(("alpha", "init_angle", "init_jitter"), _FLOAT),
-        "targets": (_finite_list, "finite numbers separated by commas"),
-    },
-    "couplings": {},
-    **{section: {"spec": _PAIR} for section in ("x_field", "cnot", "scale", "z_field")},
-    "error": {"fraction": _PAIR, "signed": (_boolean, "true or false")},
-    "noise": {"single": _FLOAT, "iswap": _FLOAT},
-}
-_MISSING = object()
-
-
 def _unknown(kind: str, name: str, known) -> ConfigError:
     close = difflib.get_close_matches(name, list(known), n=1)
     hint = f"; did you mean {close[0]}?" if close else ""
@@ -789,9 +818,10 @@ def _unknown(kind: str, name: str, known) -> ConfigError:
 def load_config_file(path: str | os.PathLike) -> ExperimentConfig:
     """Parse a line-oriented key = value config with section headers.
 
-    Unknown sections and keys are refused with a close-match hint, and
-    every value that does not parse as its key's type (floats must be
-    finite) ends in a ``ConfigError`` naming ``section.key``.
+    Each key is read, parsed and range-checked by its ``CONFIG_KEYS``
+    entry; a ``ConfigError`` names ``section.key``.  A key left out takes
+    the entry's file default, else the dataclass default.  Unknown
+    sections and keys are refused with a close-match hint.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -800,72 +830,42 @@ def load_config_file(path: str | os.PathLike) -> ExperimentConfig:
         raise ConfigError(f"config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
+    sections = dict.fromkeys(key.name.split(".")[0] for key in CONFIG_KEYS.values())
     for section in parser.sections():
-        if section not in _SCHEMA:
-            raise _unknown("section", section, _SCHEMA)
-    for section in ("experiment", "couplings"):
-        if section not in parser:
-            raise ConfigError(f"config file needs an [{section}] section")
+        if section not in sections:
+            raise _unknown("section", section, sections)
 
-    def get(section: str, key: str, default=_MISSING):
-        where = f"{section}.{key}"
-        if section not in parser or key not in parser[section]:
-            if default is _MISSING:
-                raise ConfigError(f"{where}: missing")
-            return default
-        parse, what = _PAIR if section == "couplings" else _SCHEMA[section][key]
-        text = parser[section][key]
-        try:
-            return parse(text.strip())
-        except (ValueError, KeyError):
-            raise ConfigError(f"{where}: expected {what}, got {text!r}") from None
+    required = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
+    values = {}
+    known = []
 
-    def spec(section: str, key: str, default=_MISSING) -> DisorderSpec | None:
-        pair = get(section, key, default)
-        if pair is None:
-            return None
-        if pair[1] < 0:
-            raise ConfigError(f"{section}.{key}: half-width must be nonnegative")
-        return DisorderSpec(*pair)
+    def value_of(key: ConfigKey, chain: int = 0):
+        name = key.name.format(chain)
+        known.append(name)
+        text = parser.get(*name.split("."), fallback=None)
+        if text is not None:
+            return key.check(key.read(text, name), chain)
+        if key.default is not _NO_DEFAULT:
+            return key.default(path) if callable(key.default) else key.default
+        if key.field in required:
+            raise ConfigError(f"{name}: missing")
+        return _NO_DEFAULT
 
-    chains = get("experiment", "chains")
-    # Each chain's key is read before the key check, so a missing one
-    # stops the loop and the known-key list stays as long as the file.
-    coupling_specs = tuple(spec("couplings", f"chain{c}") for c in range(chains))
-    known = dict(_SCHEMA, couplings=[f"chain{c}" for c in range(chains)])
+    for key in CONFIG_KEYS.values():
+        if "{}" in key.name:
+            # Each chain's key is read in turn, so a missing one stops here.
+            value = tuple(value_of(key, c) for c in range(values["chains"]))
+        else:
+            value = value_of(key)
+        if value is not _NO_DEFAULT:
+            values[key.field] = value
     for section in parser.sections():
-        for key in parser[section]:
-            if key not in known[section]:
-                raise _unknown(
-                    "key", f"{section}.{key}", (f"{section}.{k}" for k in known[section])
-                )
-
-    config = ExperimentConfig(
-        name=get("experiment", "name", Path(path).stem),
-        model=get("experiment", "model"),
-        chains=chains,
-        sites=get("experiment", "sites"),
-        realizations=get("experiment", "realizations", 1),
-        cycles=get("experiment", "cycles"),
-        seed=get("experiment", "seed", 0),
-        coupling_specs=coupling_specs,
-        x_spec=spec("x_field", "spec", None),
-        cnot_spec=spec("cnot", "spec", None),
-        scale_spec=spec("scale", "spec", None),
-        z_spec=spec("z_field", "spec", None),
-        error_fraction=get("error", "fraction", None),
-        error_signed=get("error", "signed", True),
-        alpha=get("experiment", "alpha", 1.5),
-        lowering=get("experiment", "lowering", "pauli-layers"),
-        init_angle=get("experiment", "init_angle", DEFAULT_TILT),
-        init_jitter=get("experiment", "init_jitter", 0.0),
-        noise_single=get("noise", "single", 0.0),
-        noise_iswap=get("noise", "iswap", 0.0),
-        shots=get("experiment", "shots", None),
-        measure_qubit=get("experiment", "measure_qubit", None),
-        targets=get("experiment", "targets", ()),
-        spectrum_average=get("experiment", "spectrum_average", "series"),
-    )
+        for option in parser[section]:
+            name = f"{section}.{option}"
+            if name not in known:
+                in_section = (k for k in known if k.startswith(f"{section}."))
+                raise _unknown("key", name, in_section)
+    config = ExperimentConfig(**values)
     config.validate()
     return config
 
@@ -892,20 +892,7 @@ def apply_overrides(
 ) -> ExperimentConfig:
     """CLI/env overrides; the seed env var loses to an explicit seed."""
     if seed is None and ENV_SEED in os.environ:
-        try:
-            seed = int(os.environ[ENV_SEED])
-        except ValueError:
-            raise ConfigError(
-                f"{ENV_SEED}: expected an integer seed, got "
-                f"{os.environ[ENV_SEED]!r}"
-            ) from None
-    updates = {}
-    if seed is not None:
-        updates["seed"] = seed
-    if realizations is not None:
-        updates["realizations"] = realizations
-    if cycles is not None:
-        updates["cycles"] = cycles
-    if lowering is not None:
-        updates["lowering"] = lowering
+        seed = CONFIG_KEYS["seed"].read(os.environ[ENV_SEED], ENV_SEED)
+    given = dict(seed=seed, realizations=realizations, cycles=cycles, lowering=lowering)
+    updates = {field: value for field, value in given.items() if value is not None}
     return replace(config, **updates) if updates else config

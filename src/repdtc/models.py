@@ -22,6 +22,8 @@ import numpy as np
 
 from .pauli import PauliRotation, PauliString, all_commute
 
+DEFAULT_ALPHA = 1.5  # power-law exponent of the long-range stabilizer
+
 
 @dataclass(frozen=True)
 class ChainLayout:
@@ -111,7 +113,7 @@ class ModelParams:
     cnots: tuple[CnotParams, ...] = ()
     scales: tuple[np.ndarray, ...] = ()
     long_range: np.ndarray | None = None
-    alpha: float = 1.5
+    alpha: float = DEFAULT_ALPHA
 
 
 @dataclass(frozen=True)
@@ -215,7 +217,7 @@ def build_h_rep_layer(
 
 
 def build_long_range_stabilizer_layer(
-    layout: ChainLayout, couplings: np.ndarray, alpha: float = 1.5
+    layout: ChainLayout, couplings: np.ndarray, alpha: float = DEFAULT_ALPHA
 ) -> Layer:
     """exp(-i sum_{c, j>k} J[c][j][k] Z_j Z_k / |j-k|**alpha)."""
     couplings = np.asarray(couplings, dtype=float)
@@ -475,7 +477,7 @@ def ideal_model_params(
     couplings: np.ndarray | float = 1.0,
     z_field: np.ndarray | None = None,
     long_range: np.ndarray | None = None,
-    alpha: float = 1.5,
+    alpha: float = DEFAULT_ALPHA,
 ) -> ModelParams:
     """ModelParams with ideal gate angles and the given Ising couplings."""
     spec = model_spec(model)

@@ -8,6 +8,12 @@ bitmask kernels they check.  Qubit q occupies bit q of the basis index
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests replay the same examples on every run and keep no
+# example database; each test sets only its own max_examples.
+settings.register_profile("repdtc", derandomize=True, database=None, deadline=None)
+settings.load_profile("repdtc")
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {

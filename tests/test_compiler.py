@@ -420,7 +420,7 @@ def small_programs(draw, model):
 class TestLoweringProperty:
     # One test per registry model, so that every model is drawn.
     @pytest.mark.parametrize("model", sorted(MODEL_SPECS))
-    @settings(derandomize=True, database=None, deadline=None, max_examples=12)
+    @settings(max_examples=12)
     @given(data=st.data())
     def test_lowered_levels_match_the_program(self, model, data):
         program = data.draw(small_programs(model))

@@ -1,13 +1,22 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repdtc import cli
+from repdtc import cli, harness
 from repdtc.disorder import DisorderSpec
 from repdtc.harness import (
+    CONFIG_KEYS,
     ENV_SEED,
     MAX_ESTIMATED_SECONDS,
     PRESETS,
@@ -24,6 +33,7 @@ from repdtc.harness import (
     run_realization,
     write_outputs,
 )
+from repdtc.models import MODEL_SPECS
 from repdtc.observables import subharmonic_score
 
 
@@ -400,6 +410,29 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(small_config(cycles=1))
 
+    def test_pool_never_outgrows_jobs_or_cores(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for the process pool: records its size, runs inline."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        run_experiment(small_config(sites=2, cycles=16), workers=10**6)
+        size = min(3, len(os.sched_getaffinity(0)))
+        assert sizes == ([size] if size > 1 else [])
+
 
 class TestDeterminism:
     def test_repeat_runs_and_worker_counts_bit_identical(self, tmp_path):
@@ -540,6 +573,18 @@ class TestCli:
                 "did you mean experiment.realizations",
             ),
             ("[error]", "[eror]", "did you mean error"),
+            ("seed = 5\n", "seed = 5\ntargets = 1e308\n", "experiment.targets"),
+            (
+                "seed = 5\n",
+                "seed = 5\ntargets = -1.5707963267948966\n",
+                "experiment.targets",
+            ),
+            ("seed = 5\n", "seed = 5\ntargets = 0\n", "experiment.targets"),
+            ("chain0 = 1.5, 0.5", "chain0 = 1e308, 1e308", "couplings.chain0"),
+            ("model = u4\n", "model = u4lr\nalpha = 1e308\n", "experiment.alpha"),
+            ("model = u4\n", "model = u4lr\nalpha = -1e308\n", "experiment.alpha"),
+            ("seed = 5\n", "seed = 5\nalpha = -3\n", "alpha: model u4"),
+            ("chains = 2", "chains = 0", "experiment.chains"),
         ],
     )
     def test_run_bad_config_entry_exits_2(self, tmp_path, capsys, old, new, named):
@@ -595,3 +640,125 @@ class TestCli:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert not any(line.startswith("FAIL") for line in out.splitlines())
+
+
+# Small valid layouts (model, chains, sites, cycles): at most 6 qubits,
+# with the cycle count a multiple of the period.
+FUZZ_LAYOUTS = [
+    ("2t", 1, 2, 4),
+    ("2t", 1, 6, 8),
+    ("u4", 2, 2, 8),
+    ("u4", 2, 3, 4),
+    ("u4lr", 2, 3, 8),
+    ("u3", 3, 2, 6),
+    ("u8", 3, 2, 8),
+    ("u2n", 2, 2, 4),
+    ("u2n", 3, 2, 8),
+]
+# Texts written over a key: out of domain, mistyped, or valid and small
+# enough to keep a run at 9 qubits and 3 realizations.
+FUZZ_NUMBERS = [
+    "nan", "inf", "1e308", "-1e308", "-1", "0", "1.5", "3", "abc", "",
+    "-1.5707963267948966", "6.2831853071795",
+]
+FUZZ_PAIRS = ["1e308, 1e308", "nan, 0", "0.2, 0.1", "1, 2, 3", "-1, -1", "1, 0.5"]
+FUZZ_WORDS = ["u4lr", "native-iswap", "spectra", "median", "true", ""]
+# Every key a file may hold, plus two misspellings.
+KNOWN_KEYS = {
+    key.name.format(c) for key in CONFIG_KEYS.values() for c in range(12)
+}
+FUZZ_KEYS = sorted(
+    {key.name.format(0) for key in CONFIG_KEYS.values()}
+    | {"couplings.chain1", "experiment.realisations", "eror.fraction"}
+)
+
+
+@st.composite
+def config_files(draw):
+    """A valid small config, then up to three edits that may break it."""
+    model, chains, sites, cycles = draw(st.sampled_from(FUZZ_LAYOUTS))
+    spec = MODEL_SPECS[model]
+    ini = {
+        "experiment": {
+            "model": model,
+            "chains": chains,
+            "sites": sites,
+            "cycles": cycles,
+            "realizations": draw(st.integers(1, 2)),
+            "seed": draw(st.integers(0, 99)),
+            "lowering": draw(
+                st.sampled_from(["pauli-layers", "local-gadgets", "native-iswap"])
+            ),
+        },
+        "couplings": {f"chain{c}": "1.5, 0.5" for c in range(chains)},
+    }
+    if draw(st.booleans()):
+        ini["error"] = {"fraction": "0.05, 0.1", "signed": "false"}
+    else:
+        ini["x_field"] = {"spec": "1.6, 0.05"}
+        if spec.cnots:
+            ini["cnot"] = {"spec": "0.78, 0.02"}
+        if spec.ladder(chains):
+            ini["scale"] = {"spec": "1.0, 0.05"}
+    experiment = ini["experiment"]
+    if spec.z_field and draw(st.booleans()):
+        ini["z_field"] = {"spec": "0.3, 0.1"}
+    if spec.long_range and draw(st.booleans()):
+        experiment["alpha"] = "2.5"
+    if experiment["lowering"] == "native-iswap" and draw(st.booleans()):
+        ini["noise"] = {"single": "0.001", "iswap": "0.01"}
+    if draw(st.booleans()):
+        experiment["measure_qubit"] = draw(st.integers(0, chains * sites - 1))
+        experiment["shots"] = 64
+    if draw(st.booleans()):
+        experiment["init_jitter"] = "0.01"
+        experiment["spectrum_average"] = "spectra"
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(FUZZ_KEYS))
+        section, key = name.split(".")
+        edit = draw(st.sampled_from(["set", "misspell", "drop"]))
+        if edit == "set":
+            if key in ("name", "model", "lowering", "spectrum_average", "signed"):
+                texts = FUZZ_WORDS
+            elif section in ("couplings", "error") or key == "spec":
+                texts = FUZZ_PAIRS
+            else:
+                texts = FUZZ_NUMBERS
+            ini.setdefault(section, {})[key] = draw(st.sampled_from(texts))
+        elif key in ini.get(section, {}):
+            value = ini[section].pop(key)
+            if edit == "misspell":
+                cut = draw(st.integers(0, len(key) - 1))
+                ini[section][key[:cut] + key[cut + 1 :]] = value
+    return "".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for section, keys in ini.items()
+    )
+
+
+class TestConfigFuzz:
+    @settings(max_examples=150)
+    @given(text=config_files())
+    def test_run_exits_0_or_2_naming_a_key(self, text):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+            os.environ.pop(ENV_SEED, None)
+            path = Path(tmp) / "fuzz.cfg"
+            path.write_text(text)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["run", str(path)])
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            # The message starts with a key, field or section: a known
+            # one, or one the file holds.
+            message = err.getvalue()
+            assert message.startswith("error: ") and "Traceback" not in message
+            names = KNOWN_KEYS | {key.field for key in CONFIG_KEYS.values()}
+            for line in text.splitlines():
+                if line.startswith("["):
+                    section = line.strip("[]")
+                    names.add(section)
+                else:
+                    names.add(f"{section}.{line.split(' = ')[0]}")
+            names |= {name.split(".")[0] for name in KNOWN_KEYS}
+            assert message[len("error: ") :].split(":")[0] in names, message

@@ -129,7 +129,7 @@ def pauli_rotations(draw):
     return n, ops, theta
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(pauli_rotations(), st.integers(0, 2**32 - 1))
 def test_rotation_matches_dense_matrix_exponential(case, seed):
     n, ops, theta = case
