@@ -20,6 +20,7 @@ angles +-pi/4 while the core rotation carries theta.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -28,7 +29,7 @@ import numpy as np
 
 from .models import ChainLayout, FloquetProgram
 from .pauli import PauliRotation, PauliString, clifford_conjugate
-from .statevector import StateVector
+from .statevector import StateVector, pauli_view
 
 LOWERING_LEVELS = ("pauli-layers", "local-gadgets", "native-iswap")
 
@@ -59,9 +60,11 @@ class Circuit:
     """One driving period as a flat rotation list, compiled once.
 
     Every entry is a ``PauliRotation`` or an ``ISwapRotation``.
-    Construction compiles the base angles, which entries are iSWAPs, and
+    Construction records the base angles, which entries are iSWAPs, and
     whether every entry is native (weight <= 1 or an iSWAP), which is
-    what temporal angle noise attaches to.
+    what temporal angle noise attaches to.  The first noise-free
+    ``apply_to`` compiles each rotation into its view step, so circuits
+    that are only rewritten, such as gadget sub-circuits, never compile.
     """
 
     n_qubits: int
@@ -72,9 +75,7 @@ class Circuit:
 
     def __post_init__(self):
         iswaps = [isinstance(r, ISwapRotation) for r in self.rotations]
-        native = all(
-            iswap or r.pauli.weight <= 1 for r, iswap in zip(self.rotations, iswaps)
-        )
+        native = all(i or r.pauli.weight <= 1 for r, i in zip(self.rotations, iswaps))
         angles = np.array([r.angle for r in self.rotations], dtype=float)
         object.__setattr__(self, "_angles", angles)
         object.__setattr__(self, "_iswaps", np.array(iswaps, dtype=bool))
@@ -98,34 +99,39 @@ class Circuit:
         Noise needs an rng, a native circuit and nonnegative widths.
         One cycle's noise is one vector draw over the noisy entries in
         order, which consumes the stream exactly as one scalar draw per
-        entry would.
+        entry would; it renews the steps' coefficients only.
         """
         if single_error < 0.0 or iswap_error < 0.0:
             raise ValueError("noise half-widths must be nonnegative")
-        entries = self.rotations
         if single_error > 0.0 or iswap_error > 0.0:
-            entries = self._noisy_entries(rng, single_error, iswap_error)
-        for entry in entries:
+            if rng is None:
+                raise ValueError("temporal noise needs a random stream")
+            if not self._native:
+                raise ValueError(
+                    "temporal noise attaches to native gates; "
+                    "lower to native-iswap first"
+                )
+            widths = np.where(self._iswaps, iswap_error, single_error)
+            noisy = widths > 0.0
+            angles = self._angles.copy()
+            angles[noisy] *= 1.0 + rng.uniform(-widths[noisy], widths[noisy])
+            steps = self._steps(angles)
+        else:
+            steps = self._compiled
+        for entry, step in zip(self.rotations, steps):
             if type(entry) is ISwapRotation:
-                state.apply_iswap(*entry.qubits, angle=entry.angle)
+                state.apply_iswap(*entry.qubits, angle=step)
             else:
-                state.apply_rotation(entry)
+                state.apply_rotation(entry, step)
 
-    def _noisy_entries(self, rng, single_error: float, iswap_error: float) -> list:
-        if rng is None:
-            raise ValueError("temporal noise needs a random stream")
-        if not self._native:
-            raise ValueError(
-                "temporal noise attaches to native gates; lower to native-iswap first"
-            )
-        widths = np.where(self._iswaps, iswap_error, single_error)
-        noisy = widths > 0.0
-        angles = self._angles.copy()
-        angles[noisy] *= 1.0 + rng.uniform(-widths[noisy], widths[noisy])
+    @functools.cached_property
+    def _compiled(self) -> list:
+        return self._steps(self._angles)
+
+    def _steps(self, angles: np.ndarray) -> list:
+        """Per entry at ``angles``: its cached view's step, or the iSWAP angle."""
         return [
-            ISwapRotation(entry.qubits, angle)
-            if iswap
-            else PauliRotation(entry.pauli, angle)
+            angle if iswap else pauli_view(entry.pauli).step(angle)
             for entry, iswap, angle in zip(
                 self.rotations, self._iswaps.tolist(), angles.tolist()
             )

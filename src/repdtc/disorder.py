@@ -119,7 +119,7 @@ def sample_model_params(
             if config.error_fraction is not None:
                 low, high = config.error_fraction
                 stream = plan.stream(realization, address)
-                eps = sample_error_fraction(stream, low, high, config.error_signed)
+                eps = sample_error_fraction(stream, low, high, config.signed_errors)
                 values[j] = ideal * (1.0 + eps)
             elif interval is not None:
                 values[j] = interval.draw(plan, realization, address)

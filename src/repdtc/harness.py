@@ -63,9 +63,9 @@ MAX_ESTIMATED_SECONDS = 4 * 3600.0
 # Cost of one kernel call (a gate, or the readout of one qubit): a fixed
 # part plus a part per amplitude of the register.  Fitted to the kernel
 # table on a 2-core Xeon with numpy 2.4 so that the three benchmark
-# workloads (8, 12 and 16 qubits) come out 1.2-1.5x above their
-# one-worker wall time.  Multi-qubit gathers cost 3-5x the per-amplitude
-# part from 16 qubits on, where no preset uses them.
+# workloads (8, 12 and 16 qubits) came out 1.2-1.5x above their
+# one-worker wall time; with compiled view steps they read 2.1x, 3.5x
+# and 1.25x, so the estimate errs on the safe side.
 _SECONDS_PER_CALL = 1.05e-5
 _SECONDS_PER_AMP_OP = 6.5e-9
 
@@ -214,7 +214,9 @@ class ExperimentConfig:
     """Everything needed to reproduce one experiment bit-exactly.
 
     ``CONFIG_KEYS`` declares each field's key and domain.  Long-range
-    models read ``alpha``, and take ``models.DEFAULT_ALPHA`` for None."""
+    models read ``alpha``, and take ``models.DEFAULT_ALPHA`` for None.
+    ``error_signed`` is None when left out, so that setting it without
+    ``error_fraction``, which alone reads it, can be refused."""
 
     name: str
     model: str
@@ -229,7 +231,7 @@ class ExperimentConfig:
     scale_spec: DisorderSpec | None = None
     z_spec: DisorderSpec | None = None
     error_fraction: tuple[float, float] | None = None
-    error_signed: bool = True
+    error_signed: bool | None = None
     alpha: float | None = None
     lowering: str = "pauli-layers"
     init_angle: float = DEFAULT_TILT
@@ -249,6 +251,11 @@ class ExperimentConfig:
     @property
     def n_qubits(self) -> int:
         return self.chains * self.sites
+
+    @property
+    def signed_errors(self) -> bool:
+        """Whether error fractions take a random sign (the default)."""
+        return self.error_signed is not False
 
     def resolved_targets(self) -> tuple[float, ...]:
         if self.targets:
@@ -307,6 +314,8 @@ class ExperimentConfig:
                     "error_fraction: exclusive with explicit x/cnot/scale specs"
                 )
         else:
+            if self.error_signed is not None:
+                raise ConfigError("error.signed: only read with error.fraction")
             if self.x_spec is None:
                 raise ConfigError(
                     "x_field: spec required unless error_fraction mode is on"
@@ -353,7 +362,7 @@ class ExperimentConfig:
                 parts.append(f"{label}=({spec.mean:g},{spec.half_width:g})")
         if self.error_fraction is not None:
             low, high = self.error_fraction
-            sign = "signed" if self.error_signed else "one-sided"
+            sign = "signed" if self.signed_errors else "one-sided"
             parts.append(f"error=({low:g},{high:g},{sign})")
         return " ".join(parts)
 
@@ -563,6 +572,22 @@ def estimate_seconds(config: ExperimentConfig, circuit=None) -> float:
     return config.realizations * config.cycles * calls * per_call
 
 
+def _peak_bytes(config: ExperimentConfig) -> int:
+    """Memory one realization holds at its peak, known before it runs.
+
+    Per amplitude: the state and one flip temporary (complex128), the
+    probabilities of a readout, and one float64 sign vector per qubit
+    read (all n, or only ``measure_qubit``).  Gates cache nothing as long
+    as the register.
+    """
+    read = config.n_qubits if config.measure_qubit is None else 1
+    return (1 << config.n_qubits) * (16 + 16 + 8 + 8 * read)
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def run_realization(config: ExperimentConfig, realization: int) -> np.ndarray:
     """Full single-realization pipeline; pure function of (config, r).
 
@@ -639,10 +664,11 @@ class RunRecord:
         echoed = (
             "name", "model", "chains", "sites", "realizations", "cycles", "seed",
             "lowering", "shots", "measure_qubit", "spectrum_average", "init_angle",
-            "init_jitter", "noise_single", "noise_iswap", "error_signed",
+            "init_jitter", "noise_single", "noise_iswap",
         )
         return {
             **{field: getattr(cfg, field) for field in echoed},
+            "error_signed": cfg.signed_errors,
             "qubits": cfg.n_qubits,
             "error_fraction": list(cfg.error_fraction) if cfg.error_fraction else None,
             "param_specs": cfg.spec_summary(),
@@ -669,6 +695,16 @@ def run_experiment(
     config.validate()
     if workers < 1:
         raise ConfigError(f"workers: need at least 1, got {workers}")
+    # No more processes than jobs or usable cores; the pool forks all of
+    # them at the first submit, and the output does not depend on them.
+    workers = min(workers, config.realizations, len(os.sched_getaffinity(0)))
+    need, have = _peak_bytes(config) * workers, _physical_memory()
+    if need > have:
+        raise CapacityError(
+            f"sites: {config.n_qubits} qubits at {workers} worker(s) need about "
+            f"{need / 2**20:.0f} MiB, more than the {have / 2**20:.0f} MiB of "
+            "physical memory; use fewer workers or a smaller register"
+        )
     try:
         program0, circuit0 = _build_realization(config, SeedPlan(config.seed), 0)
     except CompilationError as exc:
@@ -687,9 +723,6 @@ def run_experiment(
 
     started = time.perf_counter()
     jobs = [(config, r) for r in range(config.realizations)]
-    # No more processes than jobs or usable cores; the pool forks all of
-    # them at the first submit, and the output does not depend on them.
-    workers = min(workers, config.realizations, len(os.sched_getaffinity(0)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             all_rows = list(pool.map(_worker, jobs))
@@ -830,6 +863,12 @@ def load_config_file(path: str | os.PathLike) -> ExperimentConfig:
         raise ConfigError(f"config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
+    if parser.defaults():
+        # configparser would copy these keys into every section.
+        raise ConfigError(
+            f"{parser.default_section}: keys belong in their own sections, "
+            f"got {', '.join(parser.defaults())}"
+        )
     sections = dict.fromkeys(key.name.split(".")[0] for key in CONFIG_KEYS.values())
     for section in parser.sections():
         if section not in sections:

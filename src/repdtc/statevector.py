@@ -4,10 +4,11 @@ Basis convention: bit q of a basis index is the state of qubit q
 (least significant bit = qubit 0), and bit value 0 corresponds to Z
 eigenvalue +1.  Pauli rotations exp(-i*theta*P) are applied analytically
 as cos(theta)*psi - i*sin(theta)*(P psi), so no gate matrix is ever
-exponentiated.  A weight-1 rotation works in place on the two halves of
-an ``amplitudes.reshape(-1, 2, 2**q)`` view with scalar coefficients;
-a multi-qubit string gathers its flipped amplitudes through a cached
-index array.  The amplitudes hold one state, shape ``(2**n,)``, or a
+exponentiated.  One view kernel serves every Pauli string: the register
+is reshaped with one length-2 axis per support qubit, P psi is that view
+with its X/Y axes reversed times a small +-1 coefficient table, and a
+diagonal string is one in-place multiply by its table.  No gate builds
+an index array.  The amplitudes hold one state, shape ``(2**n,)``, or a
 block ``(B, 2**n)`` of one state per row, kept C-ordered: every gate
 acts on each row alike, while the readouts need one state.
 """
@@ -24,89 +25,89 @@ from .pauli import PauliRotation, PauliString
 
 MAX_QUBITS = 24
 
-# Per-register-size caches reused across gate applications: basis index
-# arrays, xor-gather indices keyed by flip mask, and (-1)**parity sign
-# vectors keyed by Z/Y mask.  Each entry is as long as the register and
-# is shared by every StateVector of the same size; only multi-qubit
-# strings and the Z readout fill them.
-_INDEX_CACHE: dict[int, np.ndarray] = {}
-_FLIP_CACHE: dict[tuple[int, int], np.ndarray] = {}
+# (-1)**(bit q) vectors keyed by (register size, q): the operands of the
+# BLAS ``ddot`` in the Z readout.  No gate reads or fills them.
 _SIGN_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
-def _indices(n: int) -> np.ndarray:
-    got = _INDEX_CACHE.get(n)
-    if got is None:
-        got = np.arange(1 << n, dtype=np.uint64)
-        _INDEX_CACHE[n] = got
-    return got
+def _z_signs(n: int, qubit: int) -> np.ndarray:
+    if (n, qubit) not in _SIGN_CACHE:
+        _SIGN_CACHE[n, qubit] = 1.0 - 2.0 * ((np.arange(1 << n) >> qubit) & 1)
+    return _SIGN_CACHE[n, qubit]
 
 
-def _flip_indices(n: int, x_mask: int) -> np.ndarray:
-    got = _FLIP_CACHE.get((n, x_mask))
-    if got is None:
-        got = (_indices(n) ^ np.uint64(x_mask)).astype(np.intp)
-        _FLIP_CACHE[(n, x_mask)] = got
-    return got
-
-
-def _parity_signs(n: int, mask: int) -> np.ndarray:
-    """Vector of (-1)**popcount(index & mask) over all basis indices."""
-    got = _SIGN_CACHE.get((n, mask))
-    if got is None:
-        v = _indices(n) & np.uint64(mask)
-        for shift in (32, 16, 8, 4, 2, 1):
-            v = v ^ (v >> np.uint64(shift))
-        got = 1.0 - 2.0 * (v & np.uint64(1)).astype(np.float64)
-        _SIGN_CACHE[(n, mask)] = got
-    return got
-
-
-# A period applies the same few PauliStrings every cycle; scanning the
-# letters each time costs about 2 us, a fifth of an 8-qubit rotation.
-@functools.lru_cache(maxsize=4096)
-def _masks(pauli: PauliString) -> tuple[int, int, int]:
-    """(zy_mask, x_mask, n_y): sign bits, flip bits, and Y count."""
-    zy = x = ny = 0
-    for q, c in enumerate(pauli.letters):
-        if c in ("Z", "Y"):
-            zy |= 1 << q
-        if c in ("X", "Y"):
-            x |= 1 << q
-        if c == "Y":
-            ny += 1
-    return zy, x, ny
-
-
-# Below this qubit the contiguous runs of 2**q amplitudes in a
-# ``reshape(-1, 2, 2**q)`` view are too short for numpy's inner loop, so
-# the kernels iterate across the runs instead (Fortran order), at a
-# stride of at most one cache line (measured at 8, 12 and 16 qubits).
+# Qubits below the lowest X/Y letter, and below this bound, share the
+# trailing axis of a view, with their Z signs written out along it: a
+# ZX pair on qubits (0, 4) then loops over runs of 16 amplitudes, not 2.
+# 2**6 entries keep the table small and the run long enough for numpy.
+_MERGED_BELOW = 6
+# A trailing run shorter than 2**_STRIDED_BELOW amplitudes (an X or Y on
+# qubit 0 or 1) is too short for numpy's inner loop, so those steps
+# iterate across the runs instead (Fortran order), at a stride of at most
+# one cache line (measured at 8, 12 and 16 qubits).
 _STRIDED_BELOW = 2
 
 
-def _rotate_qubit(amp: np.ndarray, q: int, flips: bool, ny: int, theta: float):
-    """exp(-i*theta*P) for P = X, Y or Z on qubit q, in place.
+class PauliView:
+    """The angle-free part of exp(-i*theta*P): P as a view of the register.
 
-    ``view[:, b, :]`` holds the amplitudes whose bit q is b.  The scalar
-    coefficients are those of the multi-qubit gather path, so both paths
-    round alike.
+    ``shape`` reshapes a state, or a block of states: one trailing axis
+    for the qubits below ``min(lowest X/Y qubit, _MERGED_BELOW)``, then,
+    going up, one length-2 axis per other support qubit and one axis per
+    run of qubits between them, and a leading -1 axis for the rest and
+    the block rows.  ``flip`` indexes that view with the X/Y axes
+    reversed, None for a diagonal string.  ``signs`` is the +-1 table
+    (-1)**(Z/Y bits set) broadcast over the view, None when P holds no Z
+    or Y; ``phase`` is the constant i**ny * (-1)**ny that P|b> picks up
+    beside it, with ny the number of Y letters.
     """
-    view = amp.reshape(-1, 2, 1 << q)
-    order = "F" if q < _STRIDED_BELOW else "K"
-    if not flips:
-        phases = np.array([[cmath.exp(-1j * theta)], [cmath.exp(1j * theta)]])
-        np.multiply(view, phases, out=view, order=order)
-        return
-    # X|b> = |1-b> and Y|b> = i(-1)**b |1-b>: the flipped view times one
-    # scalar, whose sign Y turns over on the bit-1 half.
-    coef = -1j * math.sin(theta) * (1j**ny) * (-1.0 if ny else 1.0)
-    if ny:
-        coef = np.array([[coef], [-coef]])
-    flipped = np.empty_like(amp)
-    np.multiply(view[:, ::-1, :], coef, out=flipped.reshape(view.shape), order=order)
-    amp *= math.cos(theta)
-    amp += flipped
+
+    __slots__ = ("shape", "flip", "signs", "phase", "order")
+
+    def __init__(self, pauli: PauliString):
+        letters = pauli.letters
+        flips = [q for q, c in enumerate(letters) if c in "XY"]
+        merged = min(flips + [len(letters), _MERGED_BELOW])
+        low_z = [q for q in range(merged) if letters[q] == "Z"]
+        bits = (np.arange(1 << merged)[:, None] >> np.array(low_z, dtype=int)) & 1
+        run_signs = 1.0 - 2.0 * (bits.sum(axis=1) % 2) if low_z else [1.0]
+        # (length, letter, signs along the axis), lowest qubit first.
+        axes = [(1 << merged, "I", run_signs)] if merged else []
+        below = merged
+        for q, c in enumerate(letters[merged:], merged):
+            if c != "I":
+                if q > below:
+                    axes.append((1 << (q - below), "I", [1.0]))
+                axes.append((2, c, [1.0] if c == "X" else [1.0, -1.0]))
+                below = q + 1
+        axes.append((-1, "I", [1.0]))
+        self.shape, kinds, vectors = zip(*reversed(axes))
+        reverse = tuple(slice(None, None, -1 if c in "XY" else 1) for c in kinds)
+        self.flip = reverse if flips else None
+        signs = functools.reduce(np.multiply, np.ix_(*vectors))
+        self.signs = None if (signs > 0).all() else signs
+        # P|b> = i**ny (-1)**pop(b & zy) |b ^ x>: read at c = b ^ x, the
+        # parity of b is that of c times (-1)**pop(x & zy) = (-1)**ny.
+        n_y = letters.count("Y")
+        self.phase = 1j**n_y * (-1.0 if n_y % 2 else 1.0)
+        self.order = "F" if 0 < self.shape[-1] < 1 << _STRIDED_BELOW else "K"
+
+    def step(self, theta: float) -> tuple:
+        """(shape, flip, coefficient table, cos theta, order) at ``theta``:
+        what ``StateVector.apply_rotation`` runs."""
+        signs = self.signs
+        if self.flip is None:
+            minus, plus = cmath.exp(-1j * theta), cmath.exp(1j * theta)
+            table = minus if signs is None else np.where(signs > 0, minus, plus)
+            return self.shape, None, table, 1.0, self.order
+        coef = -1j * math.sin(theta) * self.phase
+        table = coef if signs is None else coef * signs
+        return self.shape, self.flip, table, math.cos(theta), self.order
+
+
+# A period applies the same few PauliStrings every cycle; building the
+# view of one costs tens of microseconds, several rotations' worth.
+pauli_view = functools.lru_cache(maxsize=4096)(PauliView)
 
 
 class StateVector:
@@ -156,35 +157,28 @@ class StateVector:
 
     # -- gate application ------------------------------------------------
 
-    def apply_rotation(self, rot: PauliRotation) -> None:
-        """Apply exp(-i*theta*P) in place."""
+    def apply_rotation(self, rot: PauliRotation, step: tuple | None = None) -> None:
+        """Apply exp(-i*theta*P) in place.
+
+        ``step`` is ``pauli_view(P).step(theta)`` made ahead of time, as a
+        compiled circuit does; without it the step is made here.
+        """
         if rot.n_qubits != self.n_qubits:
             raise ValueError("rotation register size does not match state")
-        zy, x, ny = _masks(rot.pauli)
-        theta = rot.angle
-        amp = self.amplitudes
-        support = zy | x
-        if support == 0:
-            amp *= cmath.exp(-1j * theta)
+        if step is None:
+            step = pauli_view(rot.pauli).step(rot.angle)
+        shape, flip, table, cos, order = step
+        view = self.amplitudes.reshape(shape)
+        if flip is None:
+            view *= table
             return
-        if support & (support - 1) == 0:
-            _rotate_qubit(amp, support.bit_length() - 1, x != 0, ny, theta)
-            return
-        if x == 0:
-            signs = _parity_signs(self.n_qubits, zy)
-            phases = np.where(signs > 0, cmath.exp(-1j * theta), cmath.exp(1j * theta))
-            amp *= phases
-            return
-        flip = _flip_indices(self.n_qubits, x)
-        signs = _parity_signs(self.n_qubits, zy)
-        # P|b> = i**ny * (-1)**pop(b & zy) |b ^ x|, so the gathered
-        # amplitude at c picks up the parity of c ^ x: a constant
-        # popcount(x & zy) offset on top of the parity at c itself.
-        const = 1.0 if bin(x & zy).count("1") % 2 == 0 else -1.0
-        coef = -1j * math.sin(theta) * (1j**ny) * const
-        gathered = amp.take(flip, axis=-1)
-        gathered *= signs
-        self.amplitudes = math.cos(theta) * amp + coef * gathered
+        if order == "K":
+            flipped = view[flip] * table
+        else:
+            flipped = np.empty_like(view)
+            np.multiply(view[flip], table, out=flipped, order=order)
+        view *= cos
+        view += flipped
 
     def apply_single_qubit(self, qubit: int, matrix: np.ndarray) -> None:
         """Apply a 2x2 unitary on one qubit (basis |0>, |1> of that qubit)."""
@@ -259,14 +253,13 @@ class StateVector:
     def expectation_z(self, qubit: int) -> float:
         """<Z_qubit>: bit value 0 counts as +1."""
         self._check_qubit(qubit)
-        signs = _parity_signs(self.n_qubits, 1 << qubit)
-        return float(np.dot(self.probabilities(), signs))
+        return float(np.dot(self.probabilities(), _z_signs(self.n_qubits, qubit)))
 
     def expectation_z_all(self) -> np.ndarray:
         probs = self.probabilities()
         out = np.empty(self.n_qubits)
         for q in range(self.n_qubits):
-            out[q] = np.dot(probs, _parity_signs(self.n_qubits, 1 << q))
+            out[q] = np.dot(probs, _z_signs(self.n_qubits, q))
         return out
 
     def average_z(self) -> float:

@@ -585,6 +585,13 @@ class TestCli:
             ("model = u4\n", "model = u4lr\nalpha = -1e308\n", "experiment.alpha"),
             ("seed = 5\n", "seed = 5\nalpha = -3\n", "alpha: model u4"),
             ("chains = 2", "chains = 0", "experiment.chains"),
+            (
+                "fraction = 0.05, 0.10\nsigned = true\n",
+                "signed = false\n[x_field]\nspec = 1.6, 0.05\n"
+                "[cnot]\nspec = 0.78, 0.02\n",
+                "error.signed: only read with error.fraction",
+            ),
+            ("[experiment]\n", "[DEFAULT]\nmodel = u4\n[experiment]\n", "DEFAULT:"),
         ],
     )
     def test_run_bad_config_entry_exits_2(self, tmp_path, capsys, old, new, named):
@@ -622,6 +629,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "lowering: local-gadgets cannot lower" in err
         assert "Traceback" not in err
+
+    def test_run_beyond_physical_memory_exits_2(self, capsys, monkeypatch):
+        # 8 qubits need about 26 KiB; the check runs before any evolution.
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 1 << 10)
+        assert cli.main(["run", "ideal-u4", "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "physical memory" in err and "Traceback" not in err
 
     def test_run_zero_threads_exits_2(self, capsys):
         assert cli.main(["run", "ideal-u4", "--threads", "0"]) == 2

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repdtc import PauliRotation, PauliString, StateVector, statevector
+from repdtc import PauliRotation, PauliString, StateVector
+from repdtc.compiler import Circuit
 from repdtc.statevector import MAX_QUBITS
 
 from conftest import dense_iswap, dense_pauli, dense_rotation
@@ -99,30 +101,34 @@ class TestApplyRotation:
                 )
                 assert np.allclose(s.amplitudes, want, atol=1e-12, rtol=0)
 
-    def test_weight_one_fills_no_index_cache(self, rng):
-        caches = (statevector._INDEX_CACHE, statevector._FLIP_CACHE, statevector._SIGN_CACHE)
-        saved = [dict(c) for c in caches]
-        for c in caches:
-            c.clear()
+    def test_multi_qubit_rotations_keep_no_register_sized_array(self, rng):
+        n = 16
+        state = random_state(rng, n)
+        rotations = [
+            PauliRotation(PauliString.from_ops(n, ops), 0.3)
+            for ops in (
+                {2: "Z", 9: "Z", 13: "Z"},
+                {0: "Z", 11: "X"},
+                {1: "Y", 6: "Z", 12: "Y"},
+                {0: "X", 1: "Y"},
+            )
+        ]
+        tracemalloc.start()
         try:
-            s = random_state(rng, 6)
-            for q in range(6):
-                for letter in "XYZ":
-                    s.apply_rotation(
-                        PauliRotation(PauliString.from_ops(6, {q: letter}), 0.3)
-                    )
-            assert [len(c) for c in caches] == [0, 0, 0]
+            for rot in rotations:
+                state.apply_rotation(rot)
+            kept, _ = tracemalloc.get_traced_memory()
         finally:
-            for c, entries in zip(caches, saved):
-                c.clear()
-                c.update(entries)
+            tracemalloc.stop()
+        # Under one byte per amplitude: no index, flip or sign vector.
+        assert kept < 1 << n
 
 
 @st.composite
 def pauli_rotations(draw):
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 7))
     support = draw(
-        st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True)
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=min(6, n), unique=True)
     )
     ops = {q: draw(st.sampled_from("XYZ")) for q in support}
     theta = draw(st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False))
@@ -132,13 +138,29 @@ def pauli_rotations(draw):
 @settings(max_examples=200)
 @given(pauli_rotations(), st.integers(0, 2**32 - 1))
 def test_rotation_matches_dense_matrix_exponential(case, seed):
+    """One state, a (3, 2**n) block, and a compiled circuit applying its
+    one step three times, each against the dense exponential."""
     n, ops, theta = case
     p = dense_pauli(n, ops)
     eigvals, vecs = np.linalg.eigh(p)
     expm = (vecs * np.exp(-1j * theta * eigvals)) @ vecs.conj().T
-    s = random_state(np.random.default_rng(seed), n)
+    rng = np.random.default_rng(seed)
+    rot = PauliRotation(PauliString.from_ops(n, ops), theta)
+    s = random_state(rng, n)
     want = expm @ s.amplitudes
-    s.apply_rotation(PauliRotation(PauliString.from_ops(n, ops), theta))
+    s.apply_rotation(rot)
+    assert np.max(np.abs(s.amplitudes - want)) <= 1e-12
+    block = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
+    block /= np.linalg.norm(block, axis=1, keepdims=True)
+    want = block @ expm.T
+    s = StateVector(n, block)
+    s.apply_rotation(rot)
+    assert np.max(np.abs(s.amplitudes - want)) <= 1e-12
+    circuit = Circuit(n, (rot,))
+    s = random_state(rng, n)
+    want = np.linalg.matrix_power(expm, 3) @ s.amplitudes
+    for _ in range(3):
+        circuit.apply_to(s)
     assert np.max(np.abs(s.amplitudes - want)) <= 1e-12
 
 
