@@ -61,13 +61,13 @@ MAX_SINGLE_NOISE = 0.005
 MAX_ISWAP_NOISE = 0.04
 MAX_ESTIMATED_SECONDS = 4 * 3600.0
 # Cost of one kernel call (a gate, or the readout of one qubit): a fixed
-# part plus a part per amplitude of the register.  Fitted to the kernel
-# table on a 2-core Xeon with numpy 2.4 so that the three benchmark
-# workloads (8, 12 and 16 qubits) came out 1.2-1.5x above their
-# one-worker wall time; with compiled view steps they read 2.1x, 3.5x
-# and 1.25x, so the estimate errs on the safe side.
-_SECONDS_PER_CALL = 1.05e-5
-_SECONDS_PER_AMP_OP = 6.5e-9
+# part plus a part per amplitude of the register.  Fitted on a 2-core
+# Xeon with numpy 2.4 to one-worker run_experiment walls of the three
+# benchmark workloads (2.14, 8.20 and 187 us per call at 8, 12 and 16
+# qubits): the estimate reads 1.28x, 2.03x and 1.28x the wall time, and no
+# two constants do better, as a 16-qubit call costs 23x a 12-qubit one.
+_SECONDS_PER_CALL = 1.82e-6
+_SECONDS_PER_AMP_OP = 3.63e-9
 
 ENV_SEED = "REPDTC_SEED"
 
@@ -616,9 +616,11 @@ def run_realization(config: ExperimentConfig, realization: int) -> np.ndarray:
         single_error=config.noise_single,
         iswap_error=config.noise_iswap,
     )
-    # The mean of each column on its own: z.mean(axis=0) adds the rows
-    # in another order and rounds differently from eight qubits up.
-    rows = [[column.mean() for column in z.T]]
+    # One mean per cycle.  z.mean(axis=0) would add row after row, which
+    # rounds differently from eight qubits up.  Reducing the last axis of
+    # the contiguous transpose runs numpy's pairwise sum over each cycle's
+    # values in row order, as one column.mean() per cycle does.
+    rows = [np.ascontiguousarray(z.T).mean(axis=1)]
     chain = config.readout()
     if chain is not None:
         sites = config.sites
@@ -720,6 +722,11 @@ def run_experiment(
             f"realizations, {config.cycles} cycles); reduce the sweep or "
             "raise max_seconds"
         )
+    if out_dir is not None:
+        try:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"out: not a usable directory: {exc}") from None
 
     started = time.perf_counter()
     jobs = [(config, r) for r in range(config.realizations)]

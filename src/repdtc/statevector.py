@@ -10,7 +10,10 @@ with its X/Y axes reversed times a small +-1 coefficient table, and a
 diagonal string is one in-place multiply by its table.  No gate builds
 an index array.  The amplitudes hold one state, shape ``(2**n,)``, or a
 block ``(B, 2**n)`` of one state per row, kept C-ordered: every gate
-acts on each row alike, while the readouts need one state.
+acts on each row alike, while the readouts and norms refuse a block.  A
+compiled step carries its register size and a layout key; the state
+keeps the reshaped and flipped views of each layout it has run until
+``amplitudes`` is replaced by another array.
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ def _z_signs(n: int, qubit: int) -> np.ndarray:
     return _SIGN_CACHE[n, qubit]
 
 
+@functools.lru_cache(maxsize=None)
+def _all_z_signs(n: int) -> tuple[np.ndarray, ...]:
+    return tuple(_z_signs(n, q) for q in range(n))
+
+
 # Qubits below the lowest X/Y letter, and below this bound, share the
 # trailing axis of a view, with their Z signs written out along it: a
 # ZX pair on qubits (0, 4) then loops over runs of 16 amplitudes, not 2.
@@ -55,14 +63,15 @@ class PauliView:
     for the qubits below ``min(lowest X/Y qubit, _MERGED_BELOW)``, then,
     going up, one length-2 axis per other support qubit and one axis per
     run of qubits between them, and a leading -1 axis for the rest and
-    the block rows.  ``flip`` indexes that view with the X/Y axes
-    reversed, None for a diagonal string.  ``signs`` is the +-1 table
+    the block rows.  ``layout`` pairs that shape with the X/Y axes to
+    reverse, None for a diagonal string; a state keys its views by it.
+    ``signs`` is the +-1 table
     (-1)**(Z/Y bits set) broadcast over the view, None when P holds no Z
     or Y; ``phase`` is the constant i**ny * (-1)**ny that P|b> picks up
     beside it, with ny the number of Y letters.
     """
 
-    __slots__ = ("shape", "flip", "signs", "phase", "order")
+    __slots__ = ("n_qubits", "layout", "signs", "phase", "order")
 
     def __init__(self, pauli: PauliString):
         letters = pauli.letters
@@ -81,28 +90,29 @@ class PauliView:
                 axes.append((2, c, [1.0] if c == "X" else [1.0, -1.0]))
                 below = q + 1
         axes.append((-1, "I", [1.0]))
-        self.shape, kinds, vectors = zip(*reversed(axes))
-        reverse = tuple(slice(None, None, -1 if c in "XY" else 1) for c in kinds)
-        self.flip = reverse if flips else None
+        self.n_qubits = len(letters)
+        shape, kinds, vectors = zip(*reversed(axes))
+        reverse = tuple(i for i, c in enumerate(kinds) if c in "XY")
+        self.layout = (shape, reverse if flips else None)
         signs = functools.reduce(np.multiply, np.ix_(*vectors))
         self.signs = None if (signs > 0).all() else signs
         # P|b> = i**ny (-1)**pop(b & zy) |b ^ x>: read at c = b ^ x, the
         # parity of b is that of c times (-1)**pop(x & zy) = (-1)**ny.
         n_y = letters.count("Y")
         self.phase = 1j**n_y * (-1.0 if n_y % 2 else 1.0)
-        self.order = "F" if 0 < self.shape[-1] < 1 << _STRIDED_BELOW else "K"
+        self.order = "F" if 0 < shape[-1] < 1 << _STRIDED_BELOW else "K"
 
     def step(self, theta: float) -> tuple:
-        """(shape, flip, coefficient table, cos theta, order) at ``theta``:
-        what ``StateVector.apply_rotation`` runs."""
+        """(register size, layout, coefficient table, cos theta, order) at
+        ``theta``: what ``StateVector.apply_rotation`` runs."""
         signs = self.signs
-        if self.flip is None:
+        if self.layout[1] is None:
             minus, plus = cmath.exp(-1j * theta), cmath.exp(1j * theta)
             table = minus if signs is None else np.where(signs > 0, minus, plus)
-            return self.shape, None, table, 1.0, self.order
+            return self.n_qubits, self.layout, table, 1.0, self.order
         coef = -1j * math.sin(theta) * self.phase
         table = coef if signs is None else coef * signs
-        return self.shape, self.flip, table, math.cos(theta), self.order
+        return self.n_qubits, self.layout, table, math.cos(theta), self.order
 
 
 # A period applies the same few PauliStrings every cycle; building the
@@ -113,7 +123,7 @@ pauli_view = functools.lru_cache(maxsize=4096)(PauliView)
 class StateVector:
     """A 2**n_qubits complex amplitude vector with gate application."""
 
-    __slots__ = ("n_qubits", "amplitudes")
+    __slots__ = ("n_qubits", "amplitudes", "_viewed", "_views")
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray | None = None):
         if n_qubits < 1:
@@ -132,6 +142,10 @@ class StateVector:
             if amplitudes.ndim not in (1, 2) or amplitudes.shape[-1] != 1 << n_qubits:
                 raise ValueError("amplitude array has wrong shape")
         self.amplitudes = amplitudes
+        # By layout: (view, the same with its X/Y axes reversed or None),
+        # all taken of the array _viewed.
+        self._viewed = None
+        self._views: dict = {}
 
     @classmethod
     def basis_state(cls, n_qubits: int, index: int = 0) -> "StateVector":
@@ -146,10 +160,17 @@ class StateVector:
     def copy(self) -> "StateVector":
         return StateVector(self.n_qubits, self.amplitudes.copy())
 
+    def __reduce__(self):
+        # Pickled or deep-copied views would be copies, not views.
+        return StateVector, (self.n_qubits, self.amplitudes)
+
     def norm(self) -> float:
+        self._check_one_state()
         return float(np.linalg.norm(self.amplitudes))
 
     def inner(self, other: "StateVector") -> complex:
+        self._check_one_state()
+        other._check_one_state()
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def fidelity(self, other: "StateVector") -> float:
@@ -163,22 +184,36 @@ class StateVector:
         ``step`` is ``pauli_view(P).step(theta)`` made ahead of time, as a
         compiled circuit does; without it the step is made here.
         """
-        if rot.n_qubits != self.n_qubits:
-            raise ValueError("rotation register size does not match state")
         if step is None:
             step = pauli_view(rot.pauli).step(rot.angle)
-        shape, flip, table, cos, order = step
-        view = self.amplitudes.reshape(shape)
-        if flip is None:
+        n, layout, table, cos, order = step
+        if n != self.n_qubits:
+            raise ValueError("rotation register size does not match state")
+        views = self._views.get(layout) if self._viewed is self.amplitudes else None
+        view, reversed_view = views or self._take_views(layout)
+        if reversed_view is None:
             view *= table
             return
         if order == "K":
-            flipped = view[flip] * table
+            flipped = reversed_view * table
         else:
             flipped = np.empty_like(view)
-            np.multiply(view[flip], table, out=flipped, order=order)
+            np.multiply(reversed_view, table, out=flipped, order=order)
         view *= cos
         view += flipped
+
+    def _take_views(self, layout: tuple) -> tuple:
+        """Take and keep the views of a step's layout.  A replaced
+        ``amplitudes`` drops the views of the old array first, and one
+        that is not C-ordered is copied so that the views write through."""
+        if self._viewed is not self.amplitudes:
+            self.amplitudes = np.ascontiguousarray(self.amplitudes, np.complex128)
+            self._viewed, self._views = self.amplitudes, {}
+        shape, axes = layout
+        view = self.amplitudes.reshape(shape)
+        views = (view, None if axes is None else np.flip(view, axes))
+        self._views[layout] = views
+        return views
 
     def apply_single_qubit(self, qubit: int, matrix: np.ndarray) -> None:
         """Apply a 2x2 unitary on one qubit (basis |0>, |1> of that qubit)."""
@@ -252,15 +287,14 @@ class StateVector:
 
     def expectation_z(self, qubit: int) -> float:
         """<Z_qubit>: bit value 0 counts as +1."""
+        self._check_one_state()
         self._check_qubit(qubit)
         return float(np.dot(self.probabilities(), _z_signs(self.n_qubits, qubit)))
 
     def expectation_z_all(self) -> np.ndarray:
+        self._check_one_state()
         probs = self.probabilities()
-        out = np.empty(self.n_qubits)
-        for q in range(self.n_qubits):
-            out[q] = np.dot(probs, _z_signs(self.n_qubits, q))
-        return out
+        return np.array([np.dot(probs, z) for z in _all_z_signs(self.n_qubits)])
 
     def average_z(self) -> float:
         """(1/Q) sum_q <Z_q>."""
@@ -274,6 +308,11 @@ class StateVector:
         p_plus = min(1.0, max(0.0, p_plus))
         hits = int(rng.binomial(shots, p_plus))
         return (2 * hits - shots) / shots
+
+    def _check_one_state(self) -> None:
+        if self.amplitudes.ndim != 1:
+            shape = self.amplitudes.shape
+            raise ValueError(f"readouts and norms need one state, not a block {shape}")
 
     def _check_qubit(self, q: int) -> None:
         if not 0 <= q < self.n_qubits:

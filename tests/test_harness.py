@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repdtc import cli, harness
-from repdtc.disorder import DisorderSpec
+from repdtc.compiler import ISwapRotation
+from repdtc.disorder import DisorderSpec, SeedPlan
 from repdtc.harness import (
     CONFIG_KEYS,
     ENV_SEED,
@@ -34,7 +35,13 @@ from repdtc.harness import (
     write_outputs,
 )
 from repdtc.models import MODEL_SPECS
-from repdtc.observables import subharmonic_score
+from repdtc.observables import (
+    prepare_initial_state,
+    stroboscopic_run,
+    subharmonic_score,
+)
+from repdtc.pauli import PauliRotation
+from repdtc.statevector import StateVector
 
 
 def small_config(**kw):
@@ -434,6 +441,50 @@ class TestRunExperiment:
         assert sizes == ([size] if size > 1 else [])
 
 
+def evolve_entry_by_entry(circuit, state, cycles, rng, single_error, iswap_error):
+    """<Z_q> per cycle, each entry applied without a step to a fresh copy."""
+    rows = [state.expectation_z_all()]
+    iswaps = [isinstance(entry, ISwapRotation) for entry in circuit.rotations]
+    widths = np.where(iswaps, iswap_error, single_error)
+    noisy = widths > 0.0
+    for _ in range(cycles):
+        state = StateVector(state.n_qubits, state.amplitudes.copy())
+        angles = np.array([entry.angle for entry in circuit.rotations])
+        if noisy.any():
+            angles[noisy] *= 1.0 + rng.uniform(-widths[noisy], widths[noisy])
+        for entry, angle in zip(circuit.rotations, angles.tolist()):
+            if isinstance(entry, ISwapRotation):
+                state.apply_iswap(*entry.qubits, angle=angle)
+            else:
+                state.apply_rotation(PauliRotation(entry.pauli, angle))
+        rows.append(state.expectation_z_all())
+    return np.array(rows).T
+
+
+class TestBitExactFastPaths:
+    @pytest.mark.parametrize("preset", ["fig2a", "fig5a", "fig4-smoke"])
+    def test_compiled_run_matches_entry_by_entry(self, preset):
+        config = PRESETS[preset]
+        _, circuit = harness._build_realization(config, SeedPlan(config.seed), 0)
+        noise = {"single_error": config.noise_single, "iswap_error": config.noise_iswap}
+        start = prepare_initial_state(config.layout, config.init_angle)
+        z = stroboscopic_run(
+            circuit, start.copy(), 10, rng=np.random.default_rng(3), **noise
+        )
+        want = evolve_entry_by_entry(
+            circuit, start, 10, np.random.default_rng(3), **noise
+        )
+        assert np.array_equal(z, want)
+
+    @pytest.mark.parametrize("rows", range(1, 25))
+    def test_cycle_means_match_column_means(self, monkeypatch, rows):
+        cfg = small_config(sites=2, cycles=16, measure_qubit=0)
+        z = np.random.default_rng(rows).normal(size=(rows, cfg.cycles + 1))
+        monkeypatch.setattr(harness, "stroboscopic_run", lambda *a, **k: z.copy())
+        got = run_realization(cfg, 0)
+        assert np.array_equal(got[0], [column.mean() for column in z.T])
+
+
 class TestDeterminism:
     def test_repeat_runs_and_worker_counts_bit_identical(self, tmp_path):
         cfg = small_config()
@@ -636,6 +687,23 @@ class TestCli:
         assert cli.main(["run", "ideal-u4", "--threads", "1"]) == 2
         err = capsys.readouterr().err
         assert "physical memory" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_run_out_not_a_directory_exits_2_before_evolving(
+        self, tmp_path, capsys, monkeypatch, below
+    ):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+
+        def must_not_run(config, realization):
+            raise AssertionError("a realization ran before --out was checked")
+
+        monkeypatch.setattr(harness, "run_realization", must_not_run)
+        out = str(taken / below) if below else str(taken)
+        assert cli.main(["run", "ideal-u4", "--out", out, "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "out:" in err and "Traceback" not in err
+        assert taken.read_text() == "not a directory"
 
     def test_run_zero_threads_exits_2(self, capsys):
         assert cli.main(["run", "ideal-u4", "--threads", "0"]) == 2

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from repdtc import PauliRotation, PauliString, StateVector
 from repdtc.compiler import Circuit
-from repdtc.statevector import MAX_QUBITS
+from repdtc.statevector import MAX_QUBITS, pauli_view
 
 from conftest import dense_iswap, dense_pauli, dense_rotation
 
@@ -260,6 +262,79 @@ def test_block_evolves_each_row_as_one_state(rng):
     for bad in (np.ones((2, 2, 1 << n)), np.ones((2, (1 << n) + 1))):
         with pytest.raises(ValueError):
             StateVector(n, bad)
+
+
+def step_circuit(n):
+    """A circuit whose steps flip, sign and phase on several layouts."""
+    ops = ({0: "X"}, {1: "Y", 3: "Z"}, {0: "Z", 2: "Z"}, {2: "X", 3: "X"}, {1: "Z"})
+    return Circuit(
+        n,
+        tuple(
+            PauliRotation(PauliString.from_ops(n, o), 0.3 + 0.2 * i)
+            for i, o in enumerate(ops)
+        ),
+    )
+
+
+class TestStepViews:
+    """A state reuses its step views until ``amplitudes`` is replaced."""
+
+    @pytest.mark.parametrize("rows, order", [(None, "C"), (3, "C"), (3, "F")])
+    def test_replaced_amplitudes_are_evolved(self, rng, rows, order):
+        n = 4
+        circuit = step_circuit(n)
+        shape = (1 << n,) if rows is None else (rows, 1 << n)
+        state = StateVector(n, rng.normal(size=shape) + 0j)
+        circuit.apply_to(state)
+        mat = np.linalg.qr(rng.normal(size=(1 << n, 1 << n)))[0]
+        # As ``cli._matrix_applier`` does: a new array, here in either order.
+        state.amplitudes = np.array(state.amplitudes @ mat.T, order=order)
+        fresh = StateVector(n, state.amplitudes.copy())
+        circuit.apply_to(state)
+        circuit.apply_to(fresh)
+        assert np.array_equal(state.amplitudes, fresh.amplitudes)
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))]
+    )
+    def test_clone_evolves_its_own_amplitudes(self, rng, clone):
+        n = 4
+        circuit = step_circuit(n)
+        state = StateVector(n, rng.normal(size=1 << n) + 0j)
+        circuit.apply_to(state)
+        other = clone(state)
+        fresh = StateVector(n, state.amplitudes.copy())
+        circuit.apply_to(other)
+        circuit.apply_to(fresh)
+        assert np.array_equal(other.amplitudes, fresh.amplitudes)
+
+    def test_step_for_another_register_size_is_refused(self):
+        n = 3
+        rot = PauliRotation(PauliString.from_ops(n, {0: "Z", 2: "X"}), 0.4)
+        step = pauli_view(rot.pauli).step(rot.angle)
+        with pytest.raises(ValueError, match="register size"):
+            StateVector(n + 1).apply_rotation(rot, step)
+        with pytest.raises(ValueError, match="register size"):
+            step_circuit(n + 1).apply_to(StateVector(n + 2))
+
+
+@pytest.mark.parametrize(
+    "readout",
+    [
+        lambda s: s.norm(),
+        lambda s: s.inner(StateVector(3)),
+        lambda s: StateVector(3).inner(s),
+        lambda s: s.fidelity(s),
+        lambda s: s.expectation_z(0),
+        lambda s: s.expectation_z_all(),
+        lambda s: s.average_z(),
+        lambda s: s.sample_z(0, 10, np.random.default_rng(0)),
+    ],
+)
+def test_one_state_methods_refuse_a_block(readout):
+    block = StateVector(3, np.eye(2, 8))
+    with pytest.raises(ValueError, match=r"one state.*\(2, 8\)"):
+        readout(block)
 
 
 class TestMeasurement:
