@@ -199,12 +199,12 @@ def _cmd_verify() -> int:
             worst_pair = max(worst_pair, verify_equivalence(circuit, [rot]))
     ok &= _check("iSWAP lowering of all letter pairs", worst_pair, 1e-12)
 
-    # Whole-program lowering agreement for the period-4 model.
-    layout = ChainLayout(2, 3)
-    program = build_model("u4", layout, ideal_model_params("u4", layout))
-    for level in LOWERING_LEVELS[1:]:
-        dev = verify_equivalence(program, lower_program(program, level))
-        ok &= _check(f"u4 program vs {level} lowering", dev, 1e-10)
+    # Whole-program lowering agreement; u8's CCNOT takes the generic path.
+    for model, layout in (("u4", ChainLayout(2, 3)), ("u8", ChainLayout(3, 2))):
+        program = build_model(model, layout, ideal_model_params(model, layout))
+        for level in LOWERING_LEVELS[1:]:
+            dev = verify_equivalence(program, lower_program(program, level))
+            ok &= _check(f"{model} program vs {level} lowering", dev, 1e-10)
 
     # Logical eigenstate spectra for one, two, and three chains.
     oracle_cases = [

@@ -15,7 +15,9 @@ a period.
 The gadget constructions all follow one identity: conjugating a rotation
 exp(-i*theta*P) by exp(+-i*pi/4*G) with G anticommuting with P yields
 exp(-i*theta*P') with P' = +-i*G*P.  Dressings therefore sit at fixed
-angles +-pi/4 while the core rotation carries theta.
+angles +-pi/4 while the core rotation carries theta.  Every gadget is one
+walk of a Z-X core along a qubit path, its dressings read from one row
+of ``_WALKS``.
 """
 
 from __future__ import annotations
@@ -174,22 +176,55 @@ def _dressed_sequence(
     return Circuit(n_qubits, tuple(rotations))
 
 
-def _check_pattern(target: PauliString, path: Sequence[int] | None, kind: str):
-    if target.phase_power != 0:
-        raise CompilationError("gadget targets must carry phase +1")
-    support = target.support()
+# One row per gadget: the dressing block each walk step applies to the
+# next pair (a, b) of path qubits, and the block that replaces the last
+# step.  "YX" is exp(+i*pi/4*Y_a X_b), at angle -pi/4; a leading "+"
+# sets the angle to +pi/4.
+_WALKS = {
+    "i1": (("YX",), None),
+    "i2": (("YY", "ZZ"), None),
+    "i3": (("YY", "ZZ"), ("YY", "+ZX")),
+}
+
+
+def _gadget(
+    kind: str, target: PauliString, theta: float, path: Sequence[int] | None
+) -> Circuit:
+    """Walk a Z-X core on the first two path qubits out onto ``target``.
+
+    The path defaults to the span of the target's support.  Each later
+    path pair (a, b) conjugates by the kind's dressing block;
+    ``_dressed_sequence`` proves the walk lands on ``target``.
+    """
     if path is None:
-        lo, hi = min(support), max(support)
-        path = tuple(range(lo, hi + 1))
-    else:
-        path = tuple(path)
-        if len(set(path)) != len(path):
-            raise CompilationError("qubit path must not repeat qubits")
-        if not set(support) <= set(path):
-            raise CompilationError(f"target support {support} must lie on the path")
+        support = target.support()
+        path = range(min(support), max(support) + 1)
+    path = tuple(path)
+    if len(set(path)) != len(path):
+        raise CompilationError("qubit path must not repeat qubits")
     if len(path) < 2:
         raise CompilationError(f"{kind} pattern needs at least two qubits")
-    return path
+    n = target.n_qubits
+    if kind == "i3" and len(path) == 2:
+        # A ZZ on neighbours is native: nothing to walk.
+        core = PauliString.from_ops(n, {path[0]: "Z", path[1]: "Z"})
+        return _dressed_sequence(n, PauliRotation(core, theta), [], target)
+    step, close = _WALKS[kind]
+    blocks = [step] * (len(path) - 2)
+    if close is not None:
+        blocks[-1] = close
+    dressings = [
+        [
+            PauliRotation(
+                PauliString.from_ops(n, {a: spec[-2], b: spec[-1]}),
+                QUARTER if spec[0] == "+" else -QUARTER,
+            )
+            for spec in block
+        ]
+        for (a, b), block in zip(zip(path[1:], path[2:]), blocks)
+    ]
+    core = PauliString.from_ops(n, {path[0]: "Z", path[1]: "X"})
+    return _dressed_sequence(n, PauliRotation(core, theta), dressings, target)
 
 
 def decompose_i1(
@@ -202,26 +237,7 @@ def decompose_i1(
     2(L-2) dressings plus the core, which sits in the middle of the
     returned circuit, as in every i1/i2/i3 gadget.
     """
-    path = _check_pattern(target, path, "i1")
-    letters = [target.letters[q] for q in path]
-    if letters != ["Z"] * (len(path) - 1) + ["X"]:
-        raise CompilationError(
-            "i1 expects a contiguous run of Z ending in one X along the path"
-        )
-    n = target.n_qubits
-    core = PauliRotation(
-        PauliString.from_ops(n, {path[0]: "Z", path[1]: "X"}), theta
-    )
-    dressings = [
-        [
-            PauliRotation(
-                PauliString.from_ops(n, {path[k]: "Y", path[k + 1]: "X"}),
-                -QUARTER,
-            )
-        ]
-        for k in range(1, len(path) - 1)
-    ]
-    return _dressed_sequence(n, core, dressings, target)
+    return _gadget("i1", target, theta, path)
 
 
 def decompose_i2(
@@ -232,25 +248,7 @@ def decompose_i2(
     Each growth step conjugates by exp(+i*pi/4*YY) then exp(+i*pi/4*ZZ)
     on consecutive path qubits, walking the X endpoint outward.
     """
-    path = _check_pattern(target, path, "i2")
-    expect = {path[0]: "Z", path[-1]: "X"}
-    for q in path:
-        if target.letters[q] != expect.get(q, "I"):
-            raise CompilationError("i2 expects Z...X with identity in between")
-    n = target.n_qubits
-    core = PauliRotation(
-        PauliString.from_ops(n, {path[0]: "Z", path[1]: "X"}), theta
-    )
-    dressings = []
-    for k in range(1, len(path) - 1):
-        a, b = path[k], path[k + 1]
-        dressings.append(
-            [
-                PauliRotation(PauliString.from_ops(n, {a: "Y", b: "Y"}), -QUARTER),
-                PauliRotation(PauliString.from_ops(n, {a: "Z", b: "Z"}), -QUARTER),
-            ]
-        )
-    return _dressed_sequence(n, core, dressings, target)
+    return _gadget("i2", target, theta, path)
 
 
 def decompose_i3(
@@ -262,36 +260,7 @@ def decompose_i3(
     then one final block conjugates by exp(+i*pi/4*YY) and
     exp(-i*pi/4*ZX) to turn the far X into a Z.
     """
-    path = _check_pattern(target, path, "i3")
-    expect = {path[0]: "Z", path[-1]: "Z"}
-    for q in path:
-        if target.letters[q] != expect.get(q, "I"):
-            raise CompilationError("i3 expects Z...Z with identity in between")
-    n = target.n_qubits
-    if len(path) == 2:
-        # Adjacent ZZ is already native; the endpoint conversion below
-        # would have nothing to walk.
-        return Circuit(n, (PauliRotation(target, theta),))
-    core = PauliRotation(
-        PauliString.from_ops(n, {path[0]: "Z", path[1]: "X"}), theta
-    )
-    dressings = []
-    for k in range(1, len(path) - 2):
-        a, b = path[k], path[k + 1]
-        dressings.append(
-            [
-                PauliRotation(PauliString.from_ops(n, {a: "Y", b: "Y"}), -QUARTER),
-                PauliRotation(PauliString.from_ops(n, {a: "Z", b: "Z"}), -QUARTER),
-            ]
-        )
-    a, b = path[-2], path[-1]
-    dressings.append(
-        [
-            PauliRotation(PauliString.from_ops(n, {a: "Y", b: "Y"}), -QUARTER),
-            PauliRotation(PauliString.from_ops(n, {a: "Z", b: "X"}), QUARTER),
-        ]
-    )
-    return _dressed_sequence(n, core, dressings, target)
+    return _gadget("i3", target, theta, path)
 
 
 def lower_ccnot_local(
@@ -303,11 +272,11 @@ def lower_ccnot_local(
 ) -> Circuit:
     """Nearest-neighbor expansion of one transversal CCNOT layer.
 
-    Per site, the seven-factor product (commuting pi/8 block; +-pi/4 YX
-    dressings around a +pi/8 ZX core; +-pi/4 ZZ+YY dressings around a
-    -pi/8 ZX core) over the qubits (1,2,3) = (control_a, control_b,
-    target) at that site.  Scale g multiplies the pi/8 cores only; the
-    dressings stay at +-pi/4 so they cancel at g = 0.
+    Per site, over the qubits (1,2,3) = (control_a, control_b, target):
+    the i2 walk of exp(-i g Z1 X3), the i1 walk of exp(+i g Z1 Z2 X3),
+    then the commuting rest exp(-i g [Z1 Z2 + Z2 X3 - Z1 - Z2 - X3]),
+    with g = scale * pi/8.  The dressings stay at +-pi/4, so they
+    cancel at g = 0.
     """
     scales = np.asarray(scales, dtype=float)
     if scales.shape != (layout.sites,):
@@ -319,30 +288,15 @@ def lower_ccnot_local(
         )
     n = layout.n_qubits
     rotations: list[PauliRotation] = []
-
-    def rot(ops: dict[int, str], angle: float) -> PauliRotation:
-        return PauliRotation(PauliString.from_ops(n, ops), angle)
-
     for site in range(layout.sites):
         g = float(scales[site]) * math.pi / 8
-        q1 = layout.qubit(control_a, site)
-        q2 = layout.qubit(control_b, site)
-        q3 = layout.qubit(target, site)
-        # exp(-i pi/4 (Z2 Z3 + Y2 Y3))
-        rotations.append(rot({q2: "Z", q3: "Z"}, QUARTER))
-        rotations.append(rot({q2: "Y", q3: "Y"}, QUARTER))
-        # exp(-i g Z1 X2)
-        rotations.append(rot({q1: "Z", q2: "X"}, g))
-        # exp(+i pi/4 (Z2 Z3 + Y2 Y3))
-        rotations.append(rot({q2: "Z", q3: "Z"}, -QUARTER))
-        rotations.append(rot({q2: "Y", q3: "Y"}, -QUARTER))
-        # exp(-i pi/4 Y2 X3)
-        rotations.append(rot({q2: "Y", q3: "X"}, QUARTER))
-        # exp(+i g Z1 X2)
-        rotations.append(rot({q1: "Z", q2: "X"}, -g))
-        # exp(+i pi/4 Y2 X3)
-        rotations.append(rot({q2: "Y", q3: "X"}, -QUARTER))
-        # commuting block exp(-i g [Z1 Z2 + Z2 X3 - Z1 - Z2 - X3])
+        path = [layout.qubit(c, site) for c in (control_a, control_b, target)]
+        q1, q2, q3 = path
+        for ops, angle, walk in (
+            ({q1: "Z", q3: "X"}, g, decompose_i2),
+            ({q1: "Z", q2: "Z", q3: "X"}, -g, decompose_i1),
+        ):
+            rotations += walk(PauliString.from_ops(n, ops), angle, path).rotations
         for ops, sign in (
             ({q1: "Z", q2: "Z"}, 1.0),
             ({q2: "Z", q3: "X"}, 1.0),
@@ -350,7 +304,7 @@ def lower_ccnot_local(
             ({q2: "Z"}, -1.0),
             ({q3: "X"}, -1.0),
         ):
-            rotations.append(rot(ops, sign * g))
+            rotations.append(PauliRotation(PauliString.from_ops(n, ops), sign * g))
     return Circuit(n, tuple(rotations))
 
 
@@ -390,37 +344,15 @@ def lower_rotation_local(
     if letters[-1] == "Z" and letters[0] in ("X", "Y"):
         path = path[::-1]
         letters = letters[::-1]
-    target = rotation.pauli
-    run = ["Z"] * (len(path) - 1) + ["X"]
-    if letters == run:
-        return list(decompose_i1(target, rotation.angle, path).rotations)
-    if weight == 2 and letters[0] == "Z" and letters[-1] == "X":
-        return list(decompose_i2(target, rotation.angle, path).rotations)
-    if weight == 2 and letters[0] == "Z" and letters[-1] == "Z":
-        return list(decompose_i3(target, rotation.angle, path).rotations)
-    raise CompilationError(
-        f"no local gadget for pattern {rotation.pauli} (path letters {letters})"
-    )
+    kind = "i3" if letters[-1] == "Z" else "i2" if "I" in letters else "i1"
+    return list(_gadget(kind, rotation.pauli, rotation.angle, path).rotations)
 
 
 def lower_program_local(program: FloquetProgram) -> Circuit:
-    """Rewrite a whole program at the local-gadgets level.
-
-    Two-control ladder layers take the dedicated CCNOT expansion; every
-    other rotation is rewritten on its own.
-    """
-    layout = program.layout
+    """Rewrite a whole program at the local-gadgets level, rotation by rotation."""
     rotations: list[PauliRotation] = []
-    for layer in program.layers:
-        controls = layer.meta.get("controls", ())
-        if len(controls) == 2:
-            seq = lower_ccnot_local(
-                layout, *controls, layer.meta["target"], layer.meta["scales"]
-            )
-            rotations.extend(seq.rotations)
-            continue
-        for rot in layer.rotations:
-            rotations.extend(lower_rotation_local(layout, rot))
+    for rot in program.all_rotations():
+        rotations.extend(lower_rotation_local(program.layout, rot))
     return Circuit(program.n_qubits, tuple(rotations))
 
 

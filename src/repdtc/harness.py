@@ -50,6 +50,7 @@ from .observables import (
     TimeSeries,
     average_series,
     average_spectra,
+    grid_bin,
     power_spectrum,
     prepare_initial_state,
     stroboscopic_run,
@@ -339,9 +340,7 @@ class ExperimentConfig:
                 f"{self.n_qubits} qubits"
             )
         for omega in self.resolved_targets():
-            # The nearest non-DC bin, within the tolerance of Spectrum.bin_of.
-            k = min(max(round(omega * self.cycles / (2 * math.pi)), 1), self.cycles - 1)
-            if abs(2 * math.pi * k / self.cycles - omega) > 1e-9:
+            if grid_bin(omega, self.cycles) in (None, 0):
                 raise ConfigError(
                     f"targets: frequency {omega} is off the cycles={self.cycles} "
                     "grid; pick a cycle count commensurate with the period"
@@ -699,7 +698,12 @@ def run_experiment(
         raise ConfigError(f"workers: need at least 1, got {workers}")
     # No more processes than jobs or usable cores; the pool forks all of
     # them at the first submit, and the output does not depend on them.
-    workers = min(workers, config.realizations, len(os.sched_getaffinity(0)))
+    cores = (
+        len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1
+    )
+    workers = min(workers, config.realizations, cores)
     need, have = _peak_bytes(config) * workers, _physical_memory()
     if need > have:
         raise CapacityError(
@@ -865,9 +869,13 @@ def load_config_file(path: str | os.PathLike) -> ExperimentConfig:
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"config file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config file {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
     if parser.defaults():

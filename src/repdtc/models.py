@@ -121,8 +121,7 @@ class Layer:
     """One internally commuting slice of the period.
 
     ``phase`` records scalar factors from identity terms that are never
-    applied to the state.  ``meta`` keeps enough structure (chain roles,
-    per-site scales) for the compiler to re-derive gadget lowerings.
+    applied to the state.  ``meta`` names the chain roles of a gate layer.
     """
 
     name: str
@@ -348,7 +347,7 @@ def build_generalized_cnot_layer(
         "generalized",
         tuple(rotations),
         phase,
-        meta={"controls": controls, "target": target, "scales": scales},
+        meta={"controls": controls, "target": target},
     )
 
 

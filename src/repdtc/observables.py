@@ -53,14 +53,18 @@ class Spectrum:
     def bin_of(self, omega: float) -> int:
         """Grid index of an on-grid frequency; rejects off-grid requests."""
         tau = len(self.omegas)
-        k = int(round(omega * tau / (2 * math.pi))) % tau
-        if abs(self.omegas[k] - omega) > 1e-9:
-            raise ValueError(
-                f"frequency {omega} is not on the tau={tau} grid; "
-                "nearest bin sits at "
-                f"{self.omegas[k]}"
-            )
+        k = grid_bin(omega, tau)
+        if k is None:
+            raise ValueError(f"frequency {omega} is not on the tau={tau} grid")
         return k
+
+
+def grid_bin(omega: float, tau: int) -> int | None:
+    """Index k of the grid frequency 2 pi k / tau within 1e-9 of omega, else None."""
+    k = int(round(omega * tau / (2 * math.pi))) % tau
+    if abs(2 * math.pi * k / tau - omega) > 1e-9:
+        return None
+    return k
 
 
 def prepare_initial_state(

@@ -99,9 +99,6 @@ class PauliString:
     def is_hermitian(self) -> bool:
         return self.phase_power in (0, 2)
 
-    def with_phase(self, phase: complex) -> "PauliString":
-        return PauliString(self.letters, _phase_to_power(phase))
-
     def __str__(self) -> str:
         body = " ".join(f"{c}{q}" for q, c in enumerate(self.letters) if c != "I")
         return f"{_PHASE_TEXT[self.phase_power]} {body if body else 'I'}"
@@ -163,8 +160,7 @@ class PauliRotation:
     """The unitary exp(-i * angle * pauli).
 
     The generator must carry phase +1; sign information belongs in the
-    angle.  Use :meth:`from_signed` to fold a +-1 string phase into the
-    angle automatically.
+    angle.
     """
 
     pauli: PauliString
@@ -175,14 +171,6 @@ class PauliRotation:
             raise ValueError(
                 "rotation generator must have phase +1; fold signs into the angle"
             )
-
-    @classmethod
-    def from_signed(cls, pauli: PauliString, angle: float) -> "PauliRotation":
-        if pauli.phase_power == 0:
-            return cls(pauli, angle)
-        if pauli.phase_power == 2:
-            return cls(pauli.with_phase(1), -angle)
-        raise ValueError("rotation generator must be Hermitian")
 
     @property
     def n_qubits(self) -> int:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,6 +194,90 @@ class TestCcnotLocal:
             lower_ccnot_local(layout, 0, 2, 1, np.ones(2))
 
 
+Q = math.pi / 4
+G = math.pi / 8
+
+
+def pinned(circuit):
+    return [(str(rot.pauli), rot.angle) for rot in circuit.rotations]
+
+
+class TestWalkPins:
+    """Exact rotation lists of each walk, as the hand-written gadgets built them."""
+
+    @pytest.mark.parametrize(
+        "build,ops,want",
+        [
+            (
+                decompose_i1,
+                {0: "Z", 1: "Z", 2: "Z", 3: "X"},
+                [
+                    ("+1 Y2 X3", Q),
+                    ("+1 Y1 X2", Q),
+                    ("+1 Z0 X1", 0.3),
+                    ("+1 Y1 X2", -Q),
+                    ("+1 Y2 X3", -Q),
+                ],
+            ),
+            (
+                decompose_i2,
+                {0: "Z", 3: "X"},
+                [
+                    ("+1 Z2 Z3", Q),
+                    ("+1 Y2 Y3", Q),
+                    ("+1 Z1 Z2", Q),
+                    ("+1 Y1 Y2", Q),
+                    ("+1 Z0 X1", 0.3),
+                    ("+1 Y1 Y2", -Q),
+                    ("+1 Z1 Z2", -Q),
+                    ("+1 Y2 Y3", -Q),
+                    ("+1 Z2 Z3", -Q),
+                ],
+            ),
+            (
+                decompose_i3,
+                {0: "Z", 3: "Z"},
+                [
+                    ("+1 Z2 X3", -Q),
+                    ("+1 Y2 Y3", Q),
+                    ("+1 Z1 Z2", Q),
+                    ("+1 Y1 Y2", Q),
+                    ("+1 Z0 X1", 0.3),
+                    ("+1 Y1 Y2", -Q),
+                    ("+1 Z1 Z2", -Q),
+                    ("+1 Y2 Y3", -Q),
+                    ("+1 Z2 X3", Q),
+                ],
+            ),
+        ],
+        ids=["i1", "i2", "i3"],
+    )
+    def test_four_qubit_walks(self, build, ops, want):
+        assert pinned(build(PauliString.from_ops(4, ops), 0.3)) == want
+
+    def test_ccnot_site_is_two_walks_and_commuting_rest(self):
+        seq = lower_ccnot_local(ChainLayout(3, 1), 0, 1, 2, np.ones(1))
+        assert pinned(seq) == [
+            # i2 walk of Z0 X2 at +g; the two commuting undressings
+            # after the core run YY before ZZ.
+            ("+1 Z1 Z2", Q),
+            ("+1 Y1 Y2", Q),
+            ("+1 Z0 X1", G),
+            ("+1 Y1 Y2", -Q),
+            ("+1 Z1 Z2", -Q),
+            # i1 walk of Z0 Z1 X2 at -g
+            ("+1 Y1 X2", Q),
+            ("+1 Z0 X1", -G),
+            ("+1 Y1 X2", -Q),
+            # commuting rest
+            ("+1 Z0 Z1", G),
+            ("+1 Z1 X2", G),
+            ("+1 Z0", -G),
+            ("+1 Z1", -G),
+            ("+1 X2", -G),
+        ]
+
+
 class TestLowerRotationLocal:
     def setup_method(self):
         self.layout = ChainLayout(2, 3)
@@ -250,6 +335,14 @@ class TestProgramLowering:
         program = build_model("u8", layout, ideal_model_params("u8", layout))
         local = lower_program_local(program)
         assert verify_equivalence(program, local) < 1e-9
+
+    def test_local_lowering_reads_no_layer_meta(self):
+        layout = ChainLayout(3, 2)
+        program = build_model("u8", layout, ideal_model_params("u8", layout))
+        bare = replace(
+            program, layers=tuple(replace(layer, meta={}) for layer in program.layers)
+        )
+        assert lower_program_local(bare) == lower_program_local(program)
 
     def test_u2n_n3_lowers(self):
         layout = ChainLayout(3, 2)

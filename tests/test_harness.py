@@ -440,6 +440,15 @@ class TestRunExperiment:
         size = min(3, len(os.sched_getaffinity(0)))
         assert sizes == ([size] if size > 1 else [])
 
+    def test_runs_where_cpu_affinity_is_unavailable(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity.
+        cfg = small_config(sites=2, cycles=16, realizations=2)
+        want = run_experiment(cfg, workers=1)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        got = run_experiment(cfg, workers=2)
+        for a, b in zip(want.series, got.series, strict=True):
+            assert np.array_equal(a.values, b.values)
+
 
 def evolve_entry_by_entry(circuit, state, cycles, rng, single_error, iswap_error):
     """<Z_q> per cycle, each entry applied without a step to a fresh copy."""
@@ -643,11 +652,15 @@ class TestCli:
                 "error.signed: only read with error.fraction",
             ),
             ("[experiment]\n", "[DEFAULT]\nmodel = u4\n[experiment]\n", "DEFAULT:"),
+            # "\udcff" is written as the lone byte 0xff.
+            ("seed = 5\n", "seed = 5\n# \udcff\n", "bad.cfg: not UTF-8"),
         ],
     )
     def test_run_bad_config_entry_exits_2(self, tmp_path, capsys, old, new, named):
         path = tmp_path / "bad.cfg"
-        path.write_text(CONFIG_TEXT.replace(old, new))
+        path.write_bytes(
+            CONFIG_TEXT.replace(old, new).encode("utf-8", "surrogateescape")
+        )
         assert cli.main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
