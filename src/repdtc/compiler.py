@@ -198,6 +198,10 @@ def _gadget(
     """
     if path is None:
         support = target.support()
+        if not support:
+            raise CompilationError(
+                f"{kind} pattern needs a target on some qubit, got {target}"
+            )
         path = range(min(support), max(support) + 1)
     path = tuple(path)
     if len(set(path)) != len(path):

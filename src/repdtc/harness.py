@@ -17,14 +17,11 @@ rules that tie fields together, and ``apply_overrides`` parses
 
 from __future__ import annotations
 
-import configparser
-import difflib
 import json
 import math
 import os
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -136,6 +133,14 @@ def _pair(text: str) -> tuple[float, float]:
     return _finite(parts[0]), _finite(parts[1])
 
 
+def _boolean(text: str) -> bool:
+    # configparser's words for true and false; imported on first use, as
+    # a run from a preset reads no config file.
+    import configparser
+
+    return configparser.ConfigParser.BOOLEAN_STATES[text]
+
+
 def _within(low, high, rule: str = "") -> tuple:
     return (lambda x: low <= x <= high), rule or f"must lie in [{low:g}, {high:g}]"
 
@@ -154,7 +159,6 @@ _SPEC_BOUND, _ALPHA_BOUND, _COUNT_MAX = 1e6, 100, 10**9
 _INT = (int, "an integer")
 _FLOAT = (_finite, "a finite number")
 _TEXT = (str, "text")
-_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 _SPEC = (
     lambda text: DisorderSpec(*_pair(text)),
     "two finite numbers 'mean, half_width' with half_width >= 0",
@@ -184,8 +188,7 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
         ConfigKey("z_field.spec", "z_spec", *_SPEC),
         ConfigKey("error.fraction", "error_fraction", _pair, "two finite numbers",
                   lambda v: 0 <= v[0] <= v[1] <= 1, "need 0 <= low <= high <= 1"),
-        ConfigKey("error.signed", "error_signed", _BOOLEANS.__getitem__,
-                  "true or false"),
+        ConfigKey("error.signed", "error_signed", _boolean, "true or false"),
         ConfigKey("experiment.alpha", "alpha", *_FLOAT,
                   *_within(-_ALPHA_BOUND, _ALPHA_BOUND)),
         ConfigKey("experiment.lowering", "lowering", *_TEXT,
@@ -576,8 +579,9 @@ def _peak_bytes(config: ExperimentConfig) -> int:
 
     Per amplitude: the state and one flip temporary (complex128), the
     probabilities of a readout, and one float64 sign vector per qubit
-    read (all n, or only ``measure_qubit``).  Gates cache nothing as long
-    as the register.
+    read (all n, or only ``measure_qubit``).  Above 10 qubits gates cache
+    nothing as long as the register; below, a diagonal step's table has
+    at most 2**10 entries.
     """
     read = config.n_qubits if config.measure_qubit is None else 1
     return (1 << config.n_qubits) * (16 + 16 + 8 + 8 * read)
@@ -735,6 +739,10 @@ def run_experiment(
     started = time.perf_counter()
     jobs = [(config, r) for r in range(config.realizations)]
     if workers > 1:
+        # Imported here: multiprocessing costs every one-worker run time
+        # and memory at start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             all_rows = list(pool.map(_worker, jobs))
     else:
@@ -814,8 +822,11 @@ def _csv_header(config: ExperimentConfig) -> str:
 def write_outputs(record: RunRecord, out_dir: Path) -> dict[str, Path]:
     """Emit series.csv, spectrum.csv, and record.json under ``out_dir``.
 
-    CSV bytes depend only on the config and seed; floats are written via
-    repr so they round-trip exactly.
+    CSV bytes depend only on the config and seed, for one numpy/BLAS
+    build at one BLAS thread count: from 14 qubits on, OpenBLAS splits
+    the readout's ``ddot`` across its threads, which can move the last
+    bit of a value.  The worker count never does.  Floats are written
+    via repr so they round-trip exactly.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     config = record.config
@@ -854,6 +865,8 @@ def write_outputs(record: RunRecord, out_dir: Path) -> dict[str, Path]:
 
 
 def _unknown(kind: str, name: str, known) -> ConfigError:
+    import difflib
+
     close = difflib.get_close_matches(name, list(known), n=1)
     hint = f"; did you mean {close[0]}?" if close else ""
     return ConfigError(f"{name}: unknown {kind}{hint}")
@@ -867,6 +880,8 @@ def load_config_file(path: str | os.PathLike) -> ExperimentConfig:
     the entry's file default, else the dataclass default.  Unknown
     sections and keys are refused with a close-match hint.
     """
+    import configparser
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")

@@ -49,6 +49,11 @@ def _all_z_signs(n: int) -> tuple[np.ndarray, ...]:
 # ZX pair on qubits (0, 4) then loops over runs of 16 amplitudes, not 2.
 # 2**6 entries keep the table small and the run long enough for numpy.
 _MERGED_BELOW = 6
+# A diagonal string on at most this many qubits merges all of them: its
+# step is one contiguous multiply by a table of at most 2**10 entries
+# (16 KiB), where 8 to 10 qubits would otherwise loop over runs of 64.
+# Larger registers keep _MERGED_BELOW, so no table grows with them.
+_DIAGONAL_MERGED_MAX = 10
 # A trailing run shorter than 2**_STRIDED_BELOW amplitudes (an X or Y on
 # qubit 0 or 1) is too short for numpy's inner loop, so those steps
 # iterate across the runs instead (Fortran order), at a stride of at most
@@ -60,15 +65,16 @@ class PauliView:
     """The angle-free part of exp(-i*theta*P): P as a view of the register.
 
     ``shape`` reshapes a state, or a block of states: one trailing axis
-    for the qubits below ``min(lowest X/Y qubit, _MERGED_BELOW)``, then,
-    going up, one length-2 axis per other support qubit and one axis per
-    run of qubits between them, and a leading -1 axis for the rest and
-    the block rows.  ``layout`` pairs that shape with the X/Y axes to
-    reverse, None for a diagonal string; a state keys its views by it.
-    ``signs`` is the +-1 table
-    (-1)**(Z/Y bits set) broadcast over the view, None when P holds no Z
-    or Y; ``phase`` is the constant i**ny * (-1)**ny that P|b> picks up
-    beside it, with ny the number of Y letters.
+    for the qubits below ``min(lowest X/Y qubit, _MERGED_BELOW)``, or
+    for all of them in a diagonal string on ``_DIAGONAL_MERGED_MAX`` or
+    fewer qubits, then, going up, one length-2 axis per other support
+    qubit and one axis per run of qubits between them, and a leading -1
+    axis for the rest and the block rows.  ``layout`` pairs that shape
+    with the X/Y axes to reverse, None for a diagonal string; a state
+    keys its views by it.  ``signs`` is the +-1 table (-1)**(Z/Y bits
+    set) broadcast over the view, None when P holds no Z or Y; ``phase``
+    is the constant i**ny * (-1)**ny that P|b> picks up beside it, with
+    ny the number of Y letters.
     """
 
     __slots__ = ("n_qubits", "layout", "signs", "phase", "order")
@@ -77,6 +83,8 @@ class PauliView:
         letters = pauli.letters
         flips = [q for q, c in enumerate(letters) if c in "XY"]
         merged = min(flips + [len(letters), _MERGED_BELOW])
+        if not flips and len(letters) <= _DIAGONAL_MERGED_MAX:
+            merged = len(letters)
         low_z = [q for q in range(merged) if letters[q] == "Z"]
         bits = (np.arange(1 << merged)[:, None] >> np.array(low_z, dtype=int)) & 1
         run_signs = 1.0 - 2.0 * (bits.sum(axis=1) % 2) if low_z else [1.0]
@@ -289,12 +297,14 @@ class StateVector:
         """<Z_qubit>: bit value 0 counts as +1."""
         self._check_one_state()
         self._check_qubit(qubit)
-        return float(np.dot(self.probabilities(), _z_signs(self.n_qubits, qubit)))
+        return float(self.probabilities().dot(_z_signs(self.n_qubits, qubit)))
 
     def expectation_z_all(self) -> np.ndarray:
+        # ndarray.dot runs the ddot of np.dot without its __array_function__
+        # dispatch, about a quarter of an 8-qubit readout.
         self._check_one_state()
         probs = self.probabilities()
-        return np.array([np.dot(probs, z) for z in _all_z_signs(self.n_qubits)])
+        return np.array([probs.dot(z) for z in _all_z_signs(self.n_qubits)])
 
     def average_z(self) -> float:
         """(1/Q) sum_q <Z_q>."""

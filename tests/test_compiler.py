@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -85,6 +86,12 @@ class TestGadgets:
         assert np.allclose(
             gadget_unitary(seq), target_unitary(target, theta), atol=1e-12
         )
+
+    @pytest.mark.parametrize("decompose", [decompose_i1, decompose_i2, decompose_i3])
+    def test_identity_target_is_refused_by_name(self, decompose):
+        target = PauliString.identity(4)
+        with pytest.raises(CompilationError, match=f"got {re.escape(str(target))}$"):
+            decompose(target, 0.3)
 
     def test_i2_rejects_letters_in_gap(self):
         with pytest.raises(CompilationError):

@@ -1,8 +1,11 @@
+import concurrent.futures
 import contextlib
 import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -435,10 +438,35 @@ class TestRunExperiment:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         run_experiment(small_config(sites=2, cycles=16), workers=10**6)
         size = min(3, len(os.sched_getaffinity(0)))
         assert sizes == ([size] if size > 1 else [])
+
+    def test_import_loads_no_pool_or_config_parser(self, tmp_path):
+        # A one-worker run from a preset needs none of them.  A config file
+        # with a misspelled key, read afterwards, still gets its hint.
+        path = tmp_path / "typo.cfg"
+        path.write_text(CONFIG_TEXT.replace("realizations = 2", "realisations = 2"))
+        heavy = ["multiprocessing", "concurrent.futures.process", "configparser",
+                 "difflib"]
+        code = (
+            "import sys\n"
+            "from repdtc.harness import ConfigError, load_config_file\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])\n"
+            "try:\n"
+            f"    load_config_file({str(path)!r})\n"
+            "except ConfigError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(harness.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        loaded, error = out.stdout.splitlines()
+        assert loaded == "[]"
+        assert "did you mean experiment.realizations" in error
 
     def test_runs_where_cpu_affinity_is_unavailable(self, monkeypatch):
         # macOS and Windows have no os.sched_getaffinity.

@@ -1,3 +1,4 @@
+import cmath
 import copy
 import math
 import pickle
@@ -124,6 +125,31 @@ class TestApplyRotation:
             tracemalloc.stop()
         # Under one byte per amplitude: no index, flip or sign vector.
         assert kept < 1 << n
+
+    @pytest.mark.parametrize("n", [3, 8, 10])
+    def test_diagonal_step_is_the_flat_phase_multiply(self, rng, n):
+        index = np.arange(1 << n)
+        for _ in range(20):
+            support = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+            theta = float(rng.normal())
+            parity = sum((index >> int(q)) & 1 for q in support) % 2
+            s = random_state(rng, n)
+            want = s.amplitudes * np.where(
+                parity == 0, cmath.exp(-1j * theta), cmath.exp(1j * theta)
+            )
+            pauli = PauliString.from_ops(n, {int(q): "Z" for q in support})
+            # One contiguous multiply over the register.
+            assert pauli_view(pauli).layout == ((-1, 1 << n), None)
+            s.apply_rotation(PauliRotation(pauli, theta))
+            assert np.array_equal(s.amplitudes, want)
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_diagonal_step_tables_stay_small(self, rng, n):
+        for _ in range(50):
+            support = rng.choice(n, size=rng.integers(1, 5), replace=False)
+            pauli = PauliString.from_ops(n, {int(q): "Z" for q in support})
+            table = pauli_view(pauli).step(0.3)[2]
+            assert np.size(table) <= 1 << 10
 
 
 @st.composite
