@@ -14,7 +14,6 @@ from .compiler import (
     decompose_i1,
     decompose_i2,
     decompose_i3,
-    lower_ccnot_local,
     lower_program,
     lower_rotation_native,
     lower_to_native,

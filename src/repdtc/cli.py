@@ -19,7 +19,6 @@ from .compiler import (
     decompose_i1,
     decompose_i2,
     decompose_i3,
-    lower_ccnot_local,
     lower_program,
     lower_to_native,
     verify_equivalence,
@@ -37,8 +36,9 @@ from .harness import (
 )
 from .models import (
     ChainLayout,
+    FloquetProgram,
+    build_generalized_cnot_layer,
     build_model,
-    build_transversal_ccnot_layer,
     build_transversal_cnot_layer,
     ideal_model_params,
 )
@@ -46,6 +46,9 @@ from .pauli import PauliRotation, PauliString
 
 
 def _cmd_run(args) -> int:
+    if args.threads < 1:
+        print(f"error: --threads: need at least 1, got {args.threads}", file=sys.stderr)
+        return 2
     try:
         config = resolve_config(args.source)
         config = apply_overrides(
@@ -122,13 +125,6 @@ def _dense_ccnot() -> np.ndarray:
     return mat
 
 
-def _matrix_applier(mat: np.ndarray):
-    def apply(state):
-        state.amplitudes = mat @ state.amplitudes
-
-    return apply
-
-
 def _check(name: str, value: float, tol: float) -> bool:
     ok = value < tol
     print(f"{'PASS' if ok else 'FAIL'}  {name}: max deviation {value:.3e} "
@@ -145,16 +141,12 @@ def _cmd_verify() -> int:
     cnot_layer = build_transversal_cnot_layer(
         pair, 0, 1, ideal_model_params("u4", pair).cnots[0]
     )
-    dev = verify_equivalence(
-        list(cnot_layer.rotations), _matrix_applier(_dense_cnot()), n_qubits=2
-    )
+    dev = verify_equivalence(list(cnot_layer.rotations), _dense_cnot())
     ok &= _check("transversal CNOT site = CNOT gate", dev, 1e-12)
 
     triple = ChainLayout(3, 1)
-    ccnot_layer = build_transversal_ccnot_layer(triple, 0, 1, 2, np.ones(1))
-    dev = verify_equivalence(
-        list(ccnot_layer.rotations), _matrix_applier(_dense_ccnot()), n_qubits=3
-    )
+    ccnot_layer = build_generalized_cnot_layer(triple, (0, 1), 2, np.ones(1))
+    dev = verify_equivalence(list(ccnot_layer.rotations), _dense_ccnot())
     ok &= _check("transversal CCNOT site = CCNOT gate", dev, 1e-12)
 
     # Conjugation gadgets against their target rotations.
@@ -180,12 +172,11 @@ def _cmd_verify() -> int:
     ok &= _check("long-range ZX gadget (20 random angles)", worst["i2"], 1e-10)
     ok &= _check("long-range ZZ gadget (20 random angles)", worst["i3"], 1e-10)
 
-    # Local CCNOT expansion against the transversal layer, two sites.
+    # Local lowering of a transversal CCNOT layer, two sites.
     layout = ChainLayout(3, 2)
-    scales = np.array([1.0, 0.7])
-    transversal = build_transversal_ccnot_layer(layout, 0, 1, 2, scales)
-    local = lower_ccnot_local(layout, 0, 1, 2, scales)
-    dev = verify_equivalence(local, list(transversal.rotations))
+    layer = build_generalized_cnot_layer(layout, (0, 1), 2, np.array([1.0, 0.7]))
+    ccnot = FloquetProgram(layout, "u8", (layer,))
+    dev = verify_equivalence(lower_program(ccnot, "local-gadgets"), ccnot)
     ok &= _check("local CCNOT sequence = transversal layer", dev, 1e-10)
 
     # Native lowering of every two-qubit letter pair.

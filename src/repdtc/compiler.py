@@ -2,7 +2,7 @@
 
 Three levels exist:
 
-* ``pauli-layers``: the program's own Pauli rotations, applied as built.
+* ``pauli-layers``: the program's own Pauli rotations, its ``circuit``.
 * ``local-gadgets``: every rotation rewritten over nearest-neighbor
   weight-<=2 rotations using pi/4 conjugation gadgets.
 * ``native-iswap``: every weight-2 rotation rewritten over iSWAPs and
@@ -25,13 +25,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .models import ChainLayout, FloquetProgram
 from .pauli import PauliRotation, PauliString, clifford_conjugate
 from .statevector import StateVector, pauli_view
+
+if TYPE_CHECKING:
+    from .models import ChainLayout, FloquetProgram
 
 LOWERING_LEVELS = ("pauli-layers", "local-gadgets", "native-iswap")
 
@@ -267,51 +269,6 @@ def decompose_i3(
     return _gadget("i3", target, theta, path)
 
 
-def lower_ccnot_local(
-    layout: ChainLayout,
-    control_a: int,
-    control_b: int,
-    target: int,
-    scales: np.ndarray,
-) -> Circuit:
-    """Nearest-neighbor expansion of one transversal CCNOT layer.
-
-    Per site, over the qubits (1,2,3) = (control_a, control_b, target):
-    the i2 walk of exp(-i g Z1 X3), the i1 walk of exp(+i g Z1 Z2 X3),
-    then the commuting rest exp(-i g [Z1 Z2 + Z2 X3 - Z1 - Z2 - X3]),
-    with g = scale * pi/8.  The dressings stay at +-pi/4, so they
-    cancel at g = 0.
-    """
-    scales = np.asarray(scales, dtype=float)
-    if scales.shape != (layout.sites,):
-        raise ValueError("scales must have one entry per site")
-    if abs(control_a - control_b) != 1 or abs(control_b - target) != 1:
-        raise CompilationError(
-            "local CCNOT needs the chain order control-control-target to be "
-            f"physically adjacent; got chains ({control_a}, {control_b}, {target})"
-        )
-    n = layout.n_qubits
-    rotations: list[PauliRotation] = []
-    for site in range(layout.sites):
-        g = float(scales[site]) * math.pi / 8
-        path = [layout.qubit(c, site) for c in (control_a, control_b, target)]
-        q1, q2, q3 = path
-        for ops, angle, walk in (
-            ({q1: "Z", q3: "X"}, g, decompose_i2),
-            ({q1: "Z", q2: "Z", q3: "X"}, -g, decompose_i1),
-        ):
-            rotations += walk(PauliString.from_ops(n, ops), angle, path).rotations
-        for ops, sign in (
-            ({q1: "Z", q2: "Z"}, 1.0),
-            ({q2: "Z", q3: "X"}, 1.0),
-            ({q1: "Z"}, -1.0),
-            ({q2: "Z"}, -1.0),
-            ({q3: "X"}, -1.0),
-        ):
-            rotations.append(PauliRotation(PauliString.from_ops(n, ops), sign * g))
-    return Circuit(n, tuple(rotations))
-
-
 # -- program-level gadget lowering -------------------------------------------
 
 
@@ -451,7 +408,7 @@ def lower_program(program: FloquetProgram, level: str) -> Circuit:
     if level not in LOWERING_LEVELS:
         raise ValueError(f"unknown lowering level {level!r}; choose from {LOWERING_LEVELS}")
     if level == "pauli-layers":
-        return Circuit(program.n_qubits, tuple(program.all_rotations()))
+        return program.circuit
     local = lower_program_local(program)
     if level == "local-gadgets":
         return local
@@ -465,52 +422,56 @@ _VERIFY_CAP = 12
 _BLOCK_AMPLITUDES = 1 << 15
 
 
-def _as_applier(obj, n_qubits: int | None):
-    if hasattr(obj, "apply_to"):
-        n = getattr(obj, "n_qubits", n_qubits)
-        return obj.apply_to, n, True
-    if callable(obj):
-        if n_qubits is None:
-            raise ValueError("callable operands need an explicit n_qubits")
-        return obj, n_qubits, False
-    rotations = tuple(obj)
-    if not rotations:
-        raise ValueError("empty rotation list has no register size")
-    circuit = Circuit(rotations[0].n_qubits, rotations)
-    return circuit.apply_to, circuit.n_qubits, True
+def _operand(obj) -> tuple[int, np.ndarray | Circuit]:
+    """(register size, dense unitary or object with ``apply_to``) of an operand."""
+    if isinstance(obj, np.ndarray):
+        dim = obj.shape[0] if obj.ndim == 2 else 0
+        if obj.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
+            raise ValueError(
+                f"a dense operand must be a 2**n x 2**n unitary, got shape {obj.shape}"
+            )
+        return dim.bit_length() - 1, obj
+    if not hasattr(obj, "apply_to"):
+        rotations = tuple(obj)
+        if not rotations:
+            raise ValueError("empty rotation list has no register size")
+        obj = Circuit(rotations[0].n_qubits, rotations)
+    return obj.n_qubits, obj
 
 
-def _unitary_rows(apply: Callable, n: int, takes_blocks: bool) -> np.ndarray:
+def _unitary_rows(operand: np.ndarray | Circuit, n: int) -> np.ndarray:
     """U^T of an operand: row j is the operand applied to basis state j."""
+    if isinstance(operand, np.ndarray):
+        return operand.T.astype(np.complex128)
     rows = np.eye(1 << n, dtype=np.complex128)
-    step = _BLOCK_AMPLITUDES >> n if takes_blocks else 1
+    step = _BLOCK_AMPLITUDES >> n
     for start in range(0, 1 << n, step):
-        index = slice(start, start + step) if takes_blocks else start
-        state = StateVector(n, rows[index])
-        apply(state)
-        rows[index] = state.amplitudes
+        state = StateVector(n, rows[start : start + step])
+        operand.apply_to(state)
+        rows[start : start + step] = state.amplitudes
     return rows
 
 
-def verify_equivalence(a, b, n_qubits: int | None = None) -> float:
+def verify_equivalence(a, b) -> float:
     """Largest elementwise deviation between two unitaries, phase-blind.
 
     Returns max |U_a - e^{i phi} U_b| with e^{i phi} the phase of
-    tr(U_b^dagger U_a).  Each U is built from identity rows: circuits,
-    rotation lists and objects with ``apply_to`` evolve blocks of 2**15
-    amplitudes per call, a plain callable one basis state per call.  Both
-    unitaries are held at once, a 550 MiB peak at the 12-qubit cap.
+    tr(U_b^dagger U_a).  An operand is a circuit, a program (anything
+    with ``apply_to`` and ``n_qubits``), a rotation list, or a dense
+    unitary ``ndarray``.  The others build U from identity rows, evolved
+    in blocks of 2**15 amplitudes per call.  Both unitaries are held at
+    once, a 550 MiB peak at the 12-qubit cap.
     """
-    apply_a, n, blocks_a = _as_applier(a, n_qubits)
-    apply_b, nb, blocks_b = _as_applier(b, n_qubits)
+    n, a = _operand(a)
+    nb, b = _operand(b)
     if n != nb:
         raise ValueError(f"register sizes differ: {n} vs {nb}")
     if n > _VERIFY_CAP:
         raise ValueError(
             f"equivalence checking is capped at {_VERIFY_CAP} qubits, got {n}"
         )
-    rows_a = _unitary_rows(apply_a, n, blocks_a)
-    rows_b = _unitary_rows(apply_b, n, blocks_b)
+    rows_a = _unitary_rows(a, n)
+    rows_b = _unitary_rows(b, n)
     trace = np.vdot(rows_b, rows_a)
     rows_b *= trace / abs(trace) if abs(trace) > 1e-300 else 1.0
     rows_a -= rows_b

@@ -607,7 +607,7 @@ def run_realization(config: ExperimentConfig, realization: int) -> np.ndarray:
         jitter = sample_init_jitter(
             plan, realization, config.n_qubits, config.init_jitter
         )
-    state = prepare_initial_state(config.layout, config.init_angle, jitter)
+    state = prepare_initial_state(config.n_qubits, config.init_angle, jitter)
     z = stroboscopic_run(
         circuit,
         state,

@@ -13,13 +13,15 @@ other module reads its model facts from there.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .compiler import Circuit
 from .pauli import PauliRotation, PauliString, all_commute
 
 DEFAULT_ALPHA = 1.5  # power-law exponent of the long-range stabilizer
@@ -121,14 +123,13 @@ class Layer:
     """One internally commuting slice of the period.
 
     ``phase`` records scalar factors from identity terms that are never
-    applied to the state.  ``meta`` names the chain roles of a gate layer.
+    applied to the state.
     """
 
     name: str
     kind: str
     rotations: tuple[PauliRotation, ...]
     phase: complex = 1.0 + 0j
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not all_commute(self.rotations):
@@ -137,7 +138,11 @@ class Layer:
 
 @dataclass(frozen=True)
 class FloquetProgram:
-    """One driving period as an ordered tuple of layers."""
+    """One driving period as an ordered tuple of layers.
+
+    ``circuit`` is the period's ``pauli-layers`` ``Circuit``, built once;
+    ``apply_to`` runs it.
+    """
 
     layout: ChainLayout
     model: str
@@ -158,10 +163,13 @@ class FloquetProgram:
         for layer in self.layers:
             yield from layer.rotations
 
+    @functools.cached_property
+    def circuit(self) -> Circuit:
+        return Circuit(self.n_qubits, tuple(self.all_rotations()))
+
     def apply_to(self, state) -> None:
         """Apply one full period in place."""
-        for rot in self.all_rotations():
-            state.apply_rotation(rot)
+        self.circuit.apply_to(state)
 
     def to_dict(self) -> dict:
         return {
@@ -250,7 +258,7 @@ def build_logical_x_layer(
         )
         for j in range(layout.sites)
     )
-    return Layer("drive-x", "x", rotations, meta={"chain": chain})
+    return Layer("drive-x", "x", rotations)
 
 
 def build_transversal_cnot_layer(
@@ -281,26 +289,7 @@ def build_transversal_cnot_layer(
         rotations.append(
             PauliRotation(PauliString.from_ops(n, {qt: "X"}), float(params.x[j]))
         )
-    return Layer(
-        f"cnot-{control}-{target}",
-        "cnot",
-        tuple(rotations),
-        meta={"control": control, "target": target},
-    )
-
-
-def build_transversal_ccnot_layer(
-    layout: ChainLayout,
-    control_a: int,
-    control_b: int,
-    target: int,
-    scales: np.ndarray,
-) -> Layer:
-    """Sitewise exp(-i g (pi/8) (1 - Z_a)(1 - Z_b)(1 - X_t)).
-
-    The two-control case of ``build_generalized_cnot_layer``.
-    """
-    return build_generalized_cnot_layer(layout, (control_a, control_b), target, scales)
+    return Layer(f"cnot-{control}-{target}", "cnot", tuple(rotations))
 
 
 def build_generalized_cnot_layer(
@@ -342,13 +331,8 @@ def build_generalized_cnot_layer(
                     rotations.append(
                         PauliRotation(PauliString.from_ops(n, ops), sign * base)
                     )
-    return Layer(
-        f"c{j_rank}not-{''.join(map(str, controls))}-{target}",
-        "generalized",
-        tuple(rotations),
-        phase,
-        meta={"controls": controls, "target": target},
-    )
+    name = f"c{j_rank}not-{''.join(map(str, controls))}-{target}"
+    return Layer(name, "generalized", tuple(rotations), phase)
 
 
 # -- model registry -----------------------------------------------------------

@@ -68,13 +68,12 @@ def grid_bin(omega: float, tau: int) -> int | None:
 
 
 def prepare_initial_state(
-    layout, angle: float = DEFAULT_TILT, jitter: np.ndarray | None = None
+    n: int, angle: float = DEFAULT_TILT, jitter: np.ndarray | None = None
 ) -> StateVector:
-    """Product state prod_q exp(-i theta_q X_q)|0...0>.
+    """Product state prod_q exp(-i theta_q X_q)|0...0> on n qubits.
 
     theta_q = angle, optionally scaled by (1 + jitter[q]) per qubit.
     """
-    n = layout if isinstance(layout, int) else layout.n_qubits
     state = StateVector.basis_state(n, 0)
     for q in range(n):
         theta = angle if jitter is None else angle * (1.0 + float(jitter[q]))

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from conftest import dense_cnot, dense_multi_cnot, phase_distance
-from repdtc import ChainLayout, StateVector, build_model
+from repdtc import ChainLayout, FloquetProgram, StateVector, build_model
 from repdtc.compiler import (
     decompose_i1,
     decompose_i2,
     decompose_i3,
-    lower_ccnot_local,
+    lower_program,
     lower_to_native,
     verify_equivalence,
 )
@@ -32,7 +32,7 @@ from repdtc.harness import (
     write_outputs,
 )
 from repdtc.models import (
-    build_transversal_ccnot_layer,
+    build_generalized_cnot_layer,
     build_transversal_cnot_layer,
     ideal_model_params,
     logical_basis_index,
@@ -131,12 +131,6 @@ def test_criterion_3_gate_decomposition_identities():
     """Every lowering identity holds at its stated tolerance."""
     rng = np.random.default_rng(20260817)
 
-    def matrix_applier(mat):
-        def apply(state):
-            state.amplitudes = mat @ state.amplitudes
-
-        return apply
-
     # Transversal CNOT layer = product of CNOT permutation gates (8 qubits).
     layout = ChainLayout(2, 4)
     params = ideal_model_params("u4", layout)
@@ -144,28 +138,24 @@ def test_criterion_3_gate_decomposition_identities():
     dense = np.eye(1 << 8, dtype=complex)
     for site in range(4):
         dense = dense_cnot(8, site, 4 + site) @ dense
-    dev_cnot = verify_equivalence(
-        list(layer.rotations), matrix_applier(dense), n_qubits=8
-    )
+    dev_cnot = verify_equivalence(list(layer.rotations), dense)
     assert dev_cnot < 1e-12, f"CNOT layer deviation {dev_cnot}"
 
     # Transversal CCNOT layer = product of CCNOT gates (9 qubits).
     layout = ChainLayout(3, 3)
-    layer = build_transversal_ccnot_layer(layout, 0, 1, 2, np.ones(3))
+    layer = build_generalized_cnot_layer(layout, (0, 1), 2, np.ones(3))
     dense = np.eye(1 << 9, dtype=complex)
     for site in range(3):
         dense = dense_multi_cnot(9, (site, 3 + site), 6 + site) @ dense
-    dev_ccnot = verify_equivalence(
-        list(layer.rotations), matrix_applier(dense), n_qubits=9
-    )
+    dev_ccnot = verify_equivalence(list(layer.rotations), dense)
     assert dev_ccnot < 1e-12, f"CCNOT layer deviation {dev_ccnot}"
 
-    # Local CCNOT expansion reproduces the transversal layer.
+    # The local lowering of a transversal CCNOT layer reproduces the layer.
     layout = ChainLayout(3, 2)
-    scales = np.array([1.0, 0.7])
-    transversal = build_transversal_ccnot_layer(layout, 0, 1, 2, scales)
-    local = lower_ccnot_local(layout, 0, 1, 2, scales)
-    dev_local = verify_equivalence(local, list(transversal.rotations))
+    layer = build_generalized_cnot_layer(layout, (0, 1), 2, np.array([1.0, 0.7]))
+    transversal = FloquetProgram(layout, "u8", (layer,))
+    local = lower_program(transversal, "local-gadgets")
+    dev_local = verify_equivalence(local, transversal)
     assert dev_local < 1e-10, f"local CCNOT deviation {dev_local}"
 
     # Conjugation gadgets, 50 random angles per family, 8 qubits.

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 
 from repdtc import (
     ChainLayout,
+    FloquetProgram,
     PauliRotation,
     PauliString,
     StateVector,
@@ -24,7 +24,6 @@ from repdtc.compiler import (
     decompose_i1,
     decompose_i2,
     decompose_i3,
-    lower_ccnot_local,
     lower_program_local,
     lower_rotation_local,
     lower_rotation_native,
@@ -34,7 +33,7 @@ from repdtc.models import (
     MODEL_SPECS,
     CnotParams,
     ModelParams,
-    build_transversal_ccnot_layer,
+    build_generalized_cnot_layer,
 )
 
 from conftest import circuit_unitary, dense_iswap, dense_rotation, phase_distance
@@ -161,14 +160,22 @@ class TestGadgets:
         )
 
 
+def ccnot_program(layout, scales, controls=(0, 1), target=2):
+    """One transversal CCNOT layer as a program of its own."""
+    layer = build_generalized_cnot_layer(layout, controls, target, scales)
+    return FloquetProgram(layout, "u8", (layer,))
+
+
 class TestCcnotLocal:
+    """A CCNOT layer lowers through the generic rotation-by-rotation walk."""
+
     def test_matches_transversal_site(self):
         layout = ChainLayout(3, 1)
-        seq = lower_ccnot_local(layout, 0, 1, 2, np.ones(1))
-        layer = build_transversal_ccnot_layer(layout, 0, 1, 2, np.ones(1))
+        program = ccnot_program(layout, np.ones(1))
+        seq = lower_program(program, "local-gadgets")
 
         def apply_layer(state):
-            for rot in layer.rotations:
+            for rot in program.layers[0].rotations:
                 state.apply_rotation(rot)
 
         got = gadget_unitary(seq)
@@ -177,18 +184,19 @@ class TestCcnotLocal:
 
     def test_scaled_angles(self):
         layout = ChainLayout(3, 1)
-        seq = lower_ccnot_local(layout, 0, 1, 2, np.array([0.7]))
-        layer = build_transversal_ccnot_layer(layout, 0, 1, 2, np.array([0.7]))
+        program = ccnot_program(layout, np.array([0.7]))
+        seq = lower_program(program, "local-gadgets")
 
         def apply_layer(state):
-            for rot in layer.rotations:
+            for rot in program.layers[0].rotations:
                 state.apply_rotation(rot)
 
         assert phase_distance(gadget_unitary(seq), circuit_unitary(apply_layer, 3)) < 1e-10
 
     def test_every_factor_is_near_neighbor(self):
         layout = ChainLayout(3, 2)
-        seq = lower_ccnot_local(layout, 0, 1, 2, np.ones(2))
+        seq = lower_program(ccnot_program(layout, np.ones(2)), "local-gadgets")
+        assert len(seq) == 26
         for rot in seq.rotations:
             support = rot.pauli.support()
             assert rot.pauli.weight <= 2
@@ -196,9 +204,9 @@ class TestCcnotLocal:
                 assert layout.adjacent(*support)
 
     def test_rejects_nonadjacent_chain_order(self):
-        layout = ChainLayout(3, 2)
+        program = ccnot_program(ChainLayout(3, 2), np.ones(2), controls=(0, 2), target=1)
         with pytest.raises(CompilationError):
-            lower_ccnot_local(layout, 0, 2, 1, np.ones(2))
+            lower_program(program, "local-gadgets")
 
 
 Q = math.pi / 4
@@ -263,8 +271,10 @@ class TestWalkPins:
         assert pinned(build(PauliString.from_ops(4, ops), 0.3)) == want
 
     def test_ccnot_site_is_two_walks_and_commuting_rest(self):
-        seq = lower_ccnot_local(ChainLayout(3, 1), 0, 1, 2, np.ones(1))
-        assert pinned(seq) == [
+        program = ccnot_program(ChainLayout(3, 1), np.ones(1))
+        assert pinned(lower_program(program, "local-gadgets")) == [
+            ("+1 X2", -G),
+            ("+1 Z0", -G),
             # i2 walk of Z0 X2 at +g; the two commuting undressings
             # after the core run YY before ZZ.
             ("+1 Z1 Z2", Q),
@@ -272,16 +282,13 @@ class TestWalkPins:
             ("+1 Z0 X1", G),
             ("+1 Y1 Y2", -Q),
             ("+1 Z1 Z2", -Q),
+            ("+1 Z1", -G),
+            ("+1 Z1 X2", G),
+            ("+1 Z0 Z1", G),
             # i1 walk of Z0 Z1 X2 at -g
             ("+1 Y1 X2", Q),
             ("+1 Z0 X1", -G),
             ("+1 Y1 X2", -Q),
-            # commuting rest
-            ("+1 Z0 Z1", G),
-            ("+1 Z1 X2", G),
-            ("+1 Z0", -G),
-            ("+1 Z1", -G),
-            ("+1 X2", -G),
         ]
 
 
@@ -342,14 +349,6 @@ class TestProgramLowering:
         program = build_model("u8", layout, ideal_model_params("u8", layout))
         local = lower_program_local(program)
         assert verify_equivalence(program, local) < 1e-9
-
-    def test_local_lowering_reads_no_layer_meta(self):
-        layout = ChainLayout(3, 2)
-        program = build_model("u8", layout, ideal_model_params("u8", layout))
-        bare = replace(
-            program, layers=tuple(replace(layer, meta={}) for layer in program.layers)
-        )
-        assert lower_program_local(bare) == lower_program_local(program)
 
     def test_u2n_n3_lowers(self):
         layout = ChainLayout(3, 2)
@@ -571,16 +570,35 @@ class TestVerifyEquivalence:
             ),
         )
         dense = dense_iswap(n, 6, 2) @ dense_rotation(n, {1: "Z", 5: "X"}, 0.4)
+        assert verify_equivalence(dense, circuit) < 1e-12
+        assert verify_equivalence(circuit, dense) < 1e-12
+        assert verify_equivalence(np.eye(1 << n), circuit) > 0.1
 
-        def apply(state):
-            state.amplitudes = dense @ state.amplitudes
+    @pytest.mark.parametrize("shape", [(4, 8), (3, 3), (8,), (1, 1), (2, 2, 2)])
+    def test_refuses_malformed_dense_operand(self, shape):
+        rotation = [PauliRotation(PauliString.from_ops(2, {0: "Z"}), 0.3)]
+        with pytest.raises(ValueError, match="dense operand"):
+            verify_equivalence(np.ones(shape, dtype=complex), rotation)
 
-        assert verify_equivalence(apply, circuit, n_qubits=n) < 1e-12
-        assert verify_equivalence(circuit, apply, n_qubits=n) < 1e-12
-        assert verify_equivalence(lambda s: None, circuit, n_qubits=n) > 0.1
+    @pytest.mark.parametrize(
+        "other", [np.eye(8), [PauliRotation(PauliString.from_ops(3, {0: "Z"}), 0.3)]]
+    )
+    def test_refuses_mismatched_register_sizes(self, other):
+        rotation = [PauliRotation(PauliString.from_ops(2, {0: "Z"}), 0.3)]
+        with pytest.raises(ValueError, match="register sizes differ"):
+            verify_equivalence(rotation, other)
+        with pytest.raises(ValueError, match="register sizes differ"):
+            verify_equivalence(np.eye(4), other)
 
     def test_refuses_large_register(self):
         layout = ChainLayout(2, 7)
         program = build_model("u4", layout, ideal_model_params("u4", layout))
         with pytest.raises(ValueError):
             verify_equivalence(program, program)
+
+    def test_cap_holds_for_a_dense_operand(self):
+        n = 13
+        dense = np.broadcast_to(np.zeros((), dtype=complex), (1 << n, 1 << n))
+        rotation = [PauliRotation(PauliString.from_ops(n, {0: "Z"}), 0.3)]
+        with pytest.raises(ValueError, match="capped"):
+            verify_equivalence(dense, rotation)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repdtc import cli, harness
-from repdtc.compiler import ISwapRotation
+from repdtc.compiler import Circuit, ISwapRotation, lower_program
 from repdtc.disorder import DisorderSpec, SeedPlan
 from repdtc.harness import (
     CONFIG_KEYS,
@@ -502,15 +502,21 @@ class TestBitExactFastPaths:
     @pytest.mark.parametrize("preset", ["fig2a", "fig5a", "fig4-smoke"])
     def test_compiled_run_matches_entry_by_entry(self, preset):
         config = PRESETS[preset]
-        _, circuit = harness._build_realization(config, SeedPlan(config.seed), 0)
+        program, circuit = harness._build_realization(config, SeedPlan(config.seed), 0)
         noise = {"single_error": config.noise_single, "iswap_error": config.noise_iswap}
-        start = prepare_initial_state(config.layout, config.init_angle)
+        start = prepare_initial_state(config.n_qubits, config.init_angle)
         z = stroboscopic_run(
             circuit, start.copy(), 10, rng=np.random.default_rng(3), **noise
         )
         want = evolve_entry_by_entry(
             circuit, start, 10, np.random.default_rng(3), **noise
         )
+        assert np.array_equal(z, want)
+        # The program's own period is its pauli-layers circuit.
+        assert lower_program(program, "pauli-layers") is program.circuit
+        z = stroboscopic_run(program, start.copy(), 10)
+        uncompiled = Circuit(program.n_qubits, tuple(program.all_rotations()))
+        want = evolve_entry_by_entry(uncompiled, start, 10, None, 0.0, 0.0)
         assert np.array_equal(z, want)
 
     @pytest.mark.parametrize("rows", range(1, 25))
@@ -749,7 +755,7 @@ class TestCli:
     def test_run_zero_threads_exits_2(self, capsys):
         assert cli.main(["run", "ideal-u4", "--threads", "0"]) == 2
         err = capsys.readouterr().err
-        assert "workers" in err and "Traceback" not in err
+        assert "--threads" in err and "Traceback" not in err
 
     def test_run_respects_env_seed(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "tiny.cfg"

@@ -26,7 +26,6 @@ from repdtc.models import (
     build_h_rep_layer,
     build_logical_x_layer,
     build_long_range_stabilizer_layer,
-    build_transversal_ccnot_layer,
     build_transversal_cnot_layer,
     default_targets,
     model_period,
@@ -34,6 +33,21 @@ from repdtc.models import (
 )
 
 from conftest import circuit_unitary, dense_cnot, dense_multi_cnot, phase_distance
+
+
+def chain_roles(layout, layer):
+    """(control chains, target chain) of a gate layer, read from its
+    widest rotation: Z on every control, X on the target."""
+    widest = max(layer.rotations, key=lambda rot: rot.pauli.weight)
+    letters = widest.pauli.letters
+
+    def chains(letter):
+        return tuple(
+            layout.chain_site(q)[0] for q in widest.pauli.support() if letters[q] == letter
+        )
+
+    (target,) = chains("X")
+    return chains("Z"), target
 
 
 class TestChainLayout:
@@ -149,7 +163,7 @@ class TestTransversalGates:
 
     def test_ideal_ccnot_site_equals_dense(self):
         layout = ChainLayout(3, 1)
-        layer = build_transversal_ccnot_layer(layout, 0, 1, 2, np.ones(1))
+        layer = build_generalized_cnot_layer(layout, (0, 1), 2, np.ones(1))
 
         def apply(state):
             for rot in layer.rotations:
@@ -160,13 +174,13 @@ class TestTransversalGates:
 
     def test_ccnot_layer_records_phase(self):
         layout = ChainLayout(3, 2)
-        layer = build_transversal_ccnot_layer(layout, 0, 1, 2, np.array([1.0, 0.5]))
+        layer = build_generalized_cnot_layer(layout, (0, 1), 2, np.array([1.0, 0.5]))
         want = np.exp(-1j * math.pi / 8 * 1.0) * np.exp(-1j * math.pi / 8 * 0.5)
         assert layer.phase == pytest.approx(want)
 
     def test_ccnot_term_count(self):
         layout = ChainLayout(3, 2)
-        layer = build_transversal_ccnot_layer(layout, 0, 1, 2, np.ones(2))
+        layer = build_generalized_cnot_layer(layout, (0, 1), 2, np.ones(2))
         assert len(layer.rotations) == 14
 
     def test_generalized_three_controls_equals_dense(self):
@@ -287,11 +301,9 @@ class TestBuildModelValidation:
         kinds = [layer.kind for layer in program.layers]
         assert kinds == ["stabilizer", "x", "cnot", "cnot", "cnot"]
         pairs = [
-            (layer.meta["control"], layer.meta["target"])
-            for layer in program.layers
-            if layer.kind == "cnot"
+            chain_roles(layout, layer) for layer in program.layers if layer.kind == "cnot"
         ]
-        assert pairs == [(2, 1), (0, 1), (1, 0)]
+        assert pairs == [((2,), 1), ((0,), 1), ((1,), 0)]
 
 
 class TestModelTables:
@@ -351,13 +363,11 @@ def test_registry_entry_drives_every_reader(model):
         "generalized"
     ] * len(ladder)
     cnot_pairs = [
-        (layer.meta["control"], layer.meta["target"])
-        for layer in program.layers
-        if layer.kind == "cnot"
+        chain_roles(layout, layer) for layer in program.layers if layer.kind == "cnot"
     ]
-    assert cnot_pairs == list(spec.cnots)
+    assert cnot_pairs == [((control,), target) for control, target in spec.cnots]
     ladder_entries = [
-        (layer.meta["controls"], layer.meta["target"])
+        chain_roles(layout, layer)
         for layer in program.layers
         if layer.kind == "generalized"
     ]

@@ -62,11 +62,6 @@ class TestInitialState:
         for q in range(4):
             assert state.expectation_z(q) == pytest.approx(expected)
 
-    def test_layout_argument(self):
-        layout = ChainLayout(2, 3)
-        state = prepare_initial_state(layout, angle=0.1)
-        assert state.n_qubits == 6
-
     def test_jitter_scales_per_qubit(self):
         jitter = np.array([0.0, 0.5])
         state = prepare_initial_state(2, angle=0.2, jitter=jitter)
@@ -132,7 +127,7 @@ class TestStroboscopicRun:
         with pytest.raises(ValueError, match="native"):
             stroboscopic_run(
                 lower_program(program, "pauli-layers"),
-                prepare_initial_state(layout),
+                prepare_initial_state(layout.n_qubits),
                 2,
                 rng=np.random.default_rng(0),
                 single_error=0.01,
@@ -142,10 +137,10 @@ class TestStroboscopicRun:
         layout = ChainLayout(2, 2)
         program = build_model("u4", layout, ideal_u4_params(layout))
         native = lower_program(program, "native-iswap")
-        clean = stroboscopic_run(native, prepare_initial_state(layout), 2)
+        clean = stroboscopic_run(native, prepare_initial_state(layout.n_qubits), 2)
         zero = stroboscopic_run(
             native,
-            prepare_initial_state(layout),
+            prepare_initial_state(layout.n_qubits),
             2,
             rng=np.random.default_rng(0),
             single_error=0.0,
@@ -158,10 +153,10 @@ class TestStroboscopicRun:
         params = ideal_u4_params(layout)
         program = build_model("u4", layout, params)
         native = lower_program(program, "native-iswap")
-        clean = stroboscopic_run(native, prepare_initial_state(layout), 5)
+        clean = stroboscopic_run(native, prepare_initial_state(layout.n_qubits), 5)
         noisy = stroboscopic_run(
             native,
-            prepare_initial_state(layout),
+            prepare_initial_state(layout.n_qubits),
             5,
             rng=np.random.default_rng(5),
             single_error=0.02,

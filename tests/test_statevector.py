@@ -313,7 +313,7 @@ class TestStepViews:
         state = StateVector(n, rng.normal(size=shape) + 0j)
         circuit.apply_to(state)
         mat = np.linalg.qr(rng.normal(size=(1 << n, 1 << n)))[0]
-        # As ``cli._matrix_applier`` does: a new array, here in either order.
+        # A new array, here in either order.
         state.amplitudes = np.array(state.amplitudes @ mat.T, order=order)
         fresh = StateVector(n, state.amplitudes.copy())
         circuit.apply_to(state)
