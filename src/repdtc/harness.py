@@ -579,9 +579,11 @@ def _peak_bytes(config: ExperimentConfig) -> int:
 
     Per amplitude: the state and one flip temporary (complex128), the
     probabilities of a readout, and one float64 sign vector per qubit
-    read (all n, or only ``measure_qubit``).  Above 10 qubits gates cache
-    nothing as long as the register; below, a diagonal step's table has
-    at most 2**10 entries.
+    read (all n, or only ``measure_qubit``).  Inside a chunked run the
+    flip temporary is chunk-sized, but entries on the top qubits still
+    take a register-sized one, so the formula stands.  Above 10 qubits
+    gates cache nothing as long as the register; below, a diagonal
+    step's table has at most 2**10 entries.
     """
     read = config.n_qubits if config.measure_qubit is None else 1
     return (1 << config.n_qubits) * (16 + 16 + 8 + 8 * read)

@@ -175,6 +175,8 @@ def subharmonic_lifetime(
     drops below half of the first window's.  A series that never decays
     returns the full windowed span.
     """
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     values = series.values[1:]
     n_windows = len(values) // window
     if n_windows < 1:

@@ -13,7 +13,10 @@ block ``(B, 2**n)`` of one state per row, kept C-ordered: every gate
 acts on each row alike, while the readouts and norms refuse a block.  A
 compiled step carries its register size and a layout key; the state
 keeps the reshaped and flipped views of each layout it has run until
-``amplitudes`` is replaced by another array.
+``amplitudes`` is replaced by another array, and likewise its chunks:
+sub-registers over consecutive runs of amplitudes, on which a compiled
+circuit runs its gates below the chunk size one cache-sized chunk at a
+time.
 """
 
 from __future__ import annotations
@@ -151,7 +154,7 @@ class StateVector:
                 raise ValueError("amplitude array has wrong shape")
         self.amplitudes = amplitudes
         # By layout: (view, the same with its X/Y axes reversed or None),
-        # all taken of the array _viewed.
+        # and by chunk size: the chunks, all taken of the array _viewed.
         self._viewed = None
         self._views: dict = {}
 
@@ -211,17 +214,42 @@ class StateVector:
         view += flipped
 
     def _take_views(self, layout: tuple) -> tuple:
-        """Take and keep the views of a step's layout.  A replaced
-        ``amplitudes`` drops the views of the old array first, and one
-        that is not C-ordered is copied so that the views write through."""
-        if self._viewed is not self.amplitudes:
-            self.amplitudes = np.ascontiguousarray(self.amplitudes, np.complex128)
-            self._viewed, self._views = self.amplitudes, {}
+        """Take and keep the views of a step's layout."""
+        self._own_views()
         shape, axes = layout
         view = self.amplitudes.reshape(shape)
         views = (view, None if axes is None else np.flip(view, axes))
         self._views[layout] = views
         return views
+
+    def _own_views(self) -> None:
+        """A replaced ``amplitudes`` drops the views and chunks of the old
+        array, and one that is not C-ordered is copied so that new views
+        write through."""
+        if self._viewed is not self.amplitudes:
+            self.amplitudes = np.ascontiguousarray(self.amplitudes, np.complex128)
+            self._viewed, self._views = self.amplitudes, {}
+
+    def chunks(self, n_qubits: int) -> tuple["StateVector", ...]:
+        """The register, or each row of a block, as consecutive registers
+        of ``n_qubits`` qubits that share its memory.
+
+        A gate on qubits below ``n_qubits`` acts on every chunk alike, as
+        on the whole register.  The chunks, with their own views, are kept
+        beside the views, keyed by ``n_qubits``, and dropped with them.
+        """
+        if not 0 < n_qubits <= self.n_qubits:
+            raise ValueError(
+                f"chunks of {n_qubits} qubits do not split a register of "
+                f"{self.n_qubits}"
+            )
+        chunks = self._views.get(n_qubits) if self._viewed is self.amplitudes else None
+        if chunks is None:
+            self._own_views()
+            rows = self.amplitudes.reshape(-1, 1 << n_qubits)
+            chunks = tuple(StateVector(n_qubits, row) for row in rows)
+            self._views[n_qubits] = chunks
+        return chunks
 
     def apply_single_qubit(self, qubit: int, matrix: np.ndarray) -> None:
         """Apply a 2x2 unitary on one qubit (basis |0>, |1> of that qubit)."""

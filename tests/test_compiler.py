@@ -7,17 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repdtc import (
+    PRESETS,
     ChainLayout,
     FloquetProgram,
     PauliRotation,
     PauliString,
     StateVector,
     build_model,
+    harness,
     ideal_model_params,
     lower_program,
     verify_equivalence,
 )
 from repdtc.compiler import (
+    CHUNK_QUBITS,
+    QUARTER,
     Circuit,
     CompilationError,
     ISwapRotation,
@@ -29,12 +33,14 @@ from repdtc.compiler import (
     lower_rotation_native,
     lower_to_native,
 )
+from repdtc.disorder import SeedPlan
 from repdtc.models import (
     MODEL_SPECS,
     CnotParams,
     ModelParams,
     build_generalized_cnot_layer,
 )
+from repdtc.statevector import pauli_view
 
 from conftest import circuit_unitary, dense_iswap, dense_rotation, phase_distance
 
@@ -483,6 +489,62 @@ class TestNativeNoise:
         with pytest.raises(ValueError, match="nonnegative"):
             circuit.apply_to(state, rng=np.random.default_rng(0), **widths)
         assert np.array_equal(state.amplitudes, StateVector(2).amplitudes)
+
+
+class TestCircuitRegister:
+    @pytest.mark.parametrize(
+        "circuit_qubits, state_qubits, first",
+        [
+            (2, 4, ISwapRotation((0, 1), QUARTER)),
+            (2, 3, ISwapRotation((0, 1), QUARTER)),
+            (3, 2, PauliRotation(PauliString.from_ops(3, {0: "X"}), 0.3)),
+        ],
+    )
+    def test_wrong_register_size_is_refused_untouched(
+        self, circuit_qubits, state_qubits, first
+    ):
+        rz = PauliRotation(PauliString.from_ops(circuit_qubits, {1: "Z"}), 0.2)
+        circuit = Circuit(circuit_qubits, (first, rz))
+        state = StateVector(state_qubits, np.full(1 << state_qubits, 0.5 + 0j))
+        before = state.amplitudes.copy()
+        with pytest.raises(ValueError, match=f"{circuit_qubits}.*{state_qubits}"):
+            circuit.apply_to(state)
+        assert np.array_equal(state.amplitudes, before)
+
+    def test_chunked_layouts_match_the_register_layouts(self):
+        config = PRESETS["fig4-analog"]
+        _, circuit = harness._build_realization(config, SeedPlan(config.seed), 0)
+        assert circuit.n_qubits > CHUNK_QUBITS
+        assert len(circuit._runs) > 2
+        chunked = 0
+        for entry, cut, view in zip(circuit.rotations, circuit._chunked, circuit._views):
+            if view is None:
+                continue
+            assert view.n_qubits == (CHUNK_QUBITS if cut else circuit.n_qubits)
+            assert view.layout == pauli_view(entry.pauli).layout
+            chunked += cut
+        assert 0 < chunked < len(circuit)
+
+    def test_block_of_chunked_states_matches_each_row(self, rng):
+        n = CHUNK_QUBITS + 1
+        rotations = (
+            PauliRotation(PauliString.from_ops(n, {0: "Z", 3: "X"}), 0.3),
+            ISwapRotation((1, 2), QUARTER),
+            PauliRotation(PauliString.from_ops(n, {2: "Y", n - 1: "X"}), 0.7),
+            PauliRotation(PauliString.from_ops(n, {1: "Z", 5: "Z"}), -0.4),
+        )
+        circuit = Circuit(n, rotations)
+        block = rng.normal(size=(2, 1 << n)) + 1j * rng.normal(size=(2, 1 << n))
+        state = StateVector(n, block.copy())
+        circuit.apply_to(state)
+        for row, start in zip(state.amplitudes, block):
+            one = StateVector(n, start)
+            for rot in rotations:
+                if isinstance(rot, ISwapRotation):
+                    one.apply_iswap(*rot.qubits, angle=rot.angle)
+                else:
+                    one.apply_rotation(rot)
+            assert np.array_equal(row, one.amplitudes)
 
 
 @st.composite

@@ -499,7 +499,9 @@ def evolve_entry_by_entry(circuit, state, cycles, rng, single_error, iswap_error
 
 
 class TestBitExactFastPaths:
-    @pytest.mark.parametrize("preset", ["fig2a", "fig5a", "fig4-smoke"])
+    # fig4-analog runs 16 qubits: chunked runs with entries on qubit 15
+    # between them.
+    @pytest.mark.parametrize("preset", ["fig2a", "fig5a", "fig4-smoke", "fig4-analog"])
     def test_compiled_run_matches_entry_by_entry(self, preset):
         config = PRESETS[preset]
         program, circuit = harness._build_realization(config, SeedPlan(config.seed), 0)

@@ -304,6 +304,12 @@ class TestSubharmonicLifetime:
         series = self.step_series(100, 40, 0.1)
         assert subharmonic_lifetime(series, (math.pi,), window=20) == 40
 
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_window_below_one_rejected(self, window):
+        series = self.step_series(100, 40, 0.1)
+        with pytest.raises(ValueError, match="window"):
+            subharmonic_lifetime(series, (math.pi,), window=window)
+
 
 class TestAveraging:
     def test_series_mean(self):

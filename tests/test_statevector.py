@@ -334,6 +334,21 @@ class TestStepViews:
         circuit.apply_to(fresh)
         assert np.array_equal(other.amplitudes, fresh.amplitudes)
 
+    def test_chunks_share_memory_until_amplitudes_are_replaced(self, rng):
+        n = 5
+        state = StateVector(n, rng.normal(size=(2, 1 << n)) + 0j)
+        chunks = state.chunks(3)
+        assert len(chunks) == 8 and state.chunks(3) is chunks
+        chunks[5].amplitudes[1] = 7.0
+        assert state.amplitudes[1, 8 + 1] == 7.0
+        state.amplitudes = np.asfortranarray(state.amplitudes)
+        again = state.chunks(3)
+        assert again is not chunks
+        again[5].amplitudes[1] = 9.0
+        assert state.amplitudes[1, 8 + 1] == 9.0
+        with pytest.raises(ValueError, match="chunks"):
+            state.chunks(n + 1)
+
     def test_step_for_another_register_size_is_refused(self):
         n = 3
         rot = PauliRotation(PauliString.from_ops(n, {0: "Z", 2: "X"}), 0.4)
