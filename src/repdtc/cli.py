@@ -237,7 +237,11 @@ def main(argv=None) -> int:
         "--lowering", choices=LOWERING_LEVELS, help="execution level override"
     )
     run_p.add_argument(
-        "--threads", type=int, default=1, help="parallel realization workers"
+        "--threads",
+        type=int,
+        default=1,
+        help="realization worker processes, not chunk threads: a register of "
+        "more than 15 qubits splits its chunks across the cores per worker",
     )
 
     sub.add_parser("list", help="list experiment presets")

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -69,6 +70,104 @@ class ISwapRotation:
 CHUNK_QUBITS = 15
 
 
+def usable_cores() -> int:
+    """Cores this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Processes that share this process's cores: a pool worker is one of the
+# pool's, so that the pool's processes times their chunk threads stay
+# within the usable cores.
+_pool_size = 1
+# The executor of the helper threads of chunked runs, started on first
+# use.  It is shut down before this process forks: a child inherits the
+# executor but not its threads, and would wait on them for ever.
+_helpers = None
+
+
+def share_cores(pool_size: int) -> None:
+    """Mark this process as one of ``pool_size`` sharing the usable cores."""
+    global _pool_size
+    _pool_size = pool_size
+
+
+def _helper_threads():
+    global _helpers
+    if _helpers is None:
+        # Imported here: a run without helper threads never loads it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        _helpers = ThreadPoolExecutor(usable_cores() - 1, "repdtc-chunks")
+    return _helpers
+
+
+def _stop_helper_threads() -> None:
+    global _helpers
+    if _helpers is not None:
+        _helpers.shutdown()
+        _helpers = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_stop_helper_threads)
+
+
+def _apply_entries(targets, entries, steps) -> None:
+    """Apply the entries, with their steps, to each target in turn."""
+    for target in targets:
+        for entry, step in zip(entries, steps):
+            if type(entry) is ISwapRotation:
+                target.apply_iswap(*entry.qubits, angle=step)
+            else:
+                target.apply_rotation(entry, step)
+
+
+def _apply_to_chunks(chunks, entries, steps) -> None:
+    """Apply a run to every chunk, on up to one thread per usable core
+    of this process's share.
+
+    The caller's thread takes the first share of consecutive chunks and
+    helper threads the others; the call returns when all have finished.
+    Chunks are disjoint, so each amplitude sees the same operations in
+    the same order as on one thread.
+    """
+    threads = min(len(chunks), usable_cores() // _pool_size)
+    if threads < 2:
+        _apply_entries(chunks, entries, steps)
+        return
+    share = -(-len(chunks) // threads)
+    parts = [chunks[i : i + share] for i in range(0, len(chunks), share)]
+    helpers = _helper_threads()
+    futures = [helpers.submit(_apply_entries, part, entries, steps) for part in parts[1:]]
+    try:
+        _apply_entries(parts[0], entries, steps)
+    finally:
+        # Wait for every helper, so that no chunk still changes once the
+        # run returns or raises.
+        errors = [future.exception() for future in futures]
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def _misfit(entry, n_qubits: int) -> str | None:
+    """Why ``entry`` cannot run on a register of ``n_qubits``, or None."""
+    if isinstance(entry, ISwapRotation):
+        a, b = entry.qubits
+        if a == b:
+            return "an iSWAP needs two distinct qubits"
+        if not (0 <= a < n_qubits and 0 <= b < n_qubits):
+            return f"qubits outside a register of {n_qubits}"
+        return None
+    if not isinstance(entry, PauliRotation):
+        return "not a PauliRotation or an ISwapRotation"
+    if entry.n_qubits != n_qubits:
+        return f"a {entry.n_qubits}-qubit rotation in a register of {n_qubits}"
+    return None
+
+
 @dataclass(frozen=True)
 class Circuit:
     """One driving period as a flat rotation list, compiled once.
@@ -84,8 +183,13 @@ class Circuit:
     On more than ``CHUNK_QUBITS`` qubits, a maximal run of entries below
     qubit ``CHUNK_QUBITS`` runs over ``state.chunks(CHUNK_QUBITS)`` one
     chunk at a time, with views taken at the chunk size; entries that
-    touch a higher qubit run on the whole register.  Every amplitude
-    sees the same multiplies in the same order either way.
+    touch a higher qubit run on the whole register.  The chunks of a run
+    are split across min(chunks, usable cores // pool size) threads,
+    which join at the end of the run, so a pool worker on a machine with
+    no more cores than workers stays on one thread.  Every amplitude
+    sees the same multiplies in the same order either way.  An entry
+    that does not fit the register is refused here, before any state
+    is touched.
     """
 
     n_qubits: int
@@ -95,6 +199,10 @@ class Circuit:
     _native: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for index, entry in enumerate(self.rotations):
+            problem = _misfit(entry, self.n_qubits)
+            if problem:
+                raise ValueError(f"circuit entry {index} ({entry}): {problem}")
         iswaps = [isinstance(r, ISwapRotation) for r in self.rotations]
         native = all(i or r.pauli.weight <= 1 for r, i in zip(self.rotations, iswaps))
         angles = np.array([r.angle for r in self.rotations], dtype=float)
@@ -145,12 +253,11 @@ class Circuit:
         else:
             steps = self._compiled
         for start, stop, chunked in self._runs:
-            for target in state.chunks(CHUNK_QUBITS) if chunked else (state,):
-                for entry, step in zip(self.rotations[start:stop], steps[start:stop]):
-                    if type(entry) is ISwapRotation:
-                        target.apply_iswap(*entry.qubits, angle=step)
-                    else:
-                        target.apply_rotation(entry, step)
+            entries, run_steps = self.rotations[start:stop], steps[start:stop]
+            if chunked:
+                _apply_to_chunks(state.chunks(CHUNK_QUBITS), entries, run_steps)
+            else:
+                _apply_entries((state,), entries, run_steps)
 
     @functools.cached_property
     def _views(self) -> tuple:

@@ -27,7 +27,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .compiler import LOWERING_LEVELS, CompilationError, lower_program
+from .compiler import (
+    LOWERING_LEVELS,
+    CompilationError,
+    lower_program,
+    share_cores,
+    usable_cores,
+)
 from .disorder import (
     DisorderSpec,
     SeedPlan,
@@ -581,7 +587,11 @@ def _peak_bytes(config: ExperimentConfig) -> int:
     probabilities of a readout, and one float64 sign vector per qubit
     read (all n, or only ``measure_qubit``).  Inside a chunked run the
     flip temporary is chunk-sized, but entries on the top qubits still
-    take a register-sized one, so the formula stands.  Above 10 qubits
+    take a register-sized one, so the formula stands.  T chunk threads
+    hold at most T chunk-sized temporaries at once, one chunk each, which
+    together are no larger than the register-sized one.  An iSWAP's copy
+    and products (24 bytes per amplitude) stay within the flip and
+    readout terms.  Above 10 qubits
     gates cache nothing as long as the register; below, a diagonal
     step's table has at most 2**10 entries.
     """
@@ -633,8 +643,11 @@ def run_realization(config: ExperimentConfig, realization: int) -> np.ndarray:
     return np.array(rows)
 
 
-def _worker(payload: tuple[ExperimentConfig, int]) -> np.ndarray:
-    config, realization = payload
+def _worker(payload: tuple[ExperimentConfig, int, int]) -> np.ndarray:
+    # The pool size rides with each job, so that a worker's chunked runs
+    # take only its share of the cores.
+    config, realization, pool_size = payload
+    share_cores(pool_size)
     return run_realization(config, realization)
 
 
@@ -704,12 +717,7 @@ def run_experiment(
         raise ConfigError(f"workers: need at least 1, got {workers}")
     # No more processes than jobs or usable cores; the pool forks all of
     # them at the first submit, and the output does not depend on them.
-    cores = (
-        len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity")
-        else os.cpu_count() or 1
-    )
-    workers = min(workers, config.realizations, cores)
+    workers = min(workers, config.realizations, usable_cores())
     need, have = _peak_bytes(config) * workers, _physical_memory()
     if need > have:
         raise CapacityError(
@@ -739,7 +747,7 @@ def run_experiment(
             raise ConfigError(f"out: not a usable directory: {exc}") from None
 
     started = time.perf_counter()
-    jobs = [(config, r) for r in range(config.realizations)]
+    jobs = [(config, r, workers) for r in range(config.realizations)]
     if workers > 1:
         # Imported here: multiprocessing costs every one-worker run time
         # and memory at start-up.
@@ -825,10 +833,8 @@ def write_outputs(record: RunRecord, out_dir: Path) -> dict[str, Path]:
     """Emit series.csv, spectrum.csv, and record.json under ``out_dir``.
 
     CSV bytes depend only on the config and seed, for one numpy/BLAS
-    build at one BLAS thread count: from 14 qubits on, OpenBLAS splits
-    the readout's ``ddot`` across its threads, which can move the last
-    bit of a value.  The worker count never does.  Floats are written
-    via repr so they round-trip exactly.
+    build; neither the worker count nor the BLAS thread count moves
+    them.  Floats are written via repr so they round-trip exactly.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     config = record.config

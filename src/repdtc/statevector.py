@@ -13,10 +13,13 @@ block ``(B, 2**n)`` of one state per row, kept C-ordered: every gate
 acts on each row alike, while the readouts and norms refuse a block.  A
 compiled step carries its register size and a layout key; the state
 keeps the reshaped and flipped views of each layout it has run until
-``amplitudes`` is replaced by another array, and likewise its chunks:
-sub-registers over consecutive runs of amplitudes, on which a compiled
-circuit runs its gates below the chunk size one cache-sized chunk at a
-time.
+``amplitudes`` is replaced by another array, and likewise the quarters
+of each iSWAP pair and its chunks: sub-registers over consecutive runs
+of amplitudes, on which a compiled circuit runs its gates below the
+chunk size one cache-sized chunk at a time, split across threads.  A Z
+readout is a BLAS ``ddot`` per qubit, summed over pieces of 2**13
+amplitudes above that size, so no BLAS thread wakes and the bytes do
+not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .pauli import PauliRotation, PauliString
 
@@ -45,6 +49,27 @@ def _z_signs(n: int, qubit: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _all_z_signs(n: int) -> tuple[np.ndarray, ...]:
     return tuple(_z_signs(n, q) for q in range(n))
+
+
+# A readout of more amplitudes than this sums one ``ddot`` per piece of
+# this many, in order.  OpenBLAS splits a longer ``ddot`` across its
+# threads, which then spin on the other cores for the rest of the run,
+# and its split sum rounds with the BLAS thread count.  A piece stays
+# below OpenBLAS's threading cutoff (10,000 elements).
+_READOUT_PIECE = 1 << 13
+
+
+def _z_dot(probs: np.ndarray, signs: np.ndarray) -> float:
+    """probs . signs, as the in-order sum of the dots of their pieces."""
+    if probs.size <= _READOUT_PIECE:
+        return probs.dot(signs)
+    return sum(
+        map(
+            np.ndarray.dot,
+            probs.reshape(-1, _READOUT_PIECE),
+            signs.reshape(-1, _READOUT_PIECE),
+        )
+    )
 
 
 # Qubits below the lowest X/Y letter, and below this bound, share the
@@ -153,8 +178,10 @@ class StateVector:
             if amplitudes.ndim not in (1, 2) or amplitudes.shape[-1] != 1 << n_qubits:
                 raise ValueError("amplitude array has wrong shape")
         self.amplitudes = amplitudes
-        # By layout: (view, the same with its X/Y axes reversed or None),
-        # and by chunk size: the chunks, all taken of the array _viewed.
+        # By layout: (view, the same with its X/Y axes reversed or None);
+        # by ("iswap", a, b): the |01> and |10> quarters of the pair as one
+        # (2, ...) view; and
+        # by chunk size: the chunks, all taken of the array _viewed.
         self._viewed = None
         self._views: dict = {}
 
@@ -302,19 +329,40 @@ class StateVector:
         |10> swap with a factor -i, |00> and |11> are untouched; -pi/4 is
         its inverse.
         """
+        key = ("iswap", qubit_a, qubit_b)
+        pair = self._views.get(key) if self._viewed is self.amplitudes else None
+        if pair is None:
+            pair = self._take_pair_view(key)
+        coefs = np.array([math.cos(2 * angle), 1j * math.sin(2 * angle)])
+        # products[k, j] = coefs[k] * pair[j]: each has the operands, in
+        # the same order, of c * |01> - (1j*s) * |10> and its mirror taken
+        # one product at a time, so the bits are the same.  Three calls
+        # instead of nine mean fewer hand-offs of the interpreter lock
+        # between chunk threads.
+        products = coefs[:, None, None, None, None] * pair.copy()
+        np.subtract(products[0], products[1, ::-1], out=pair)
+
+    def _take_pair_view(self, key: tuple) -> np.ndarray:
+        """Take and keep the |01> and |10> quarters of an iSWAP's pair as
+        one ``(2, ...)`` view."""
+        _, qubit_a, qubit_b = key
         self._check_qubit(qubit_a)
         self._check_qubit(qubit_b)
         if qubit_a == qubit_b:
             raise ValueError("iSWAP needs distinct qubits")
-        c = math.cos(2 * angle)
-        s = math.sin(2 * angle)
+        self._own_views()
         hi, lo = max(qubit_a, qubit_b), min(qubit_a, qubit_b)
         view = self.amplitudes.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-        v01 = view[:, 0, :, 1, :]
-        v10 = view[:, 1, :, 0, :]
-        old01 = v01.copy()
-        v01[...] = c * old01 - 1j * s * v10
-        v10[...] = c * v10 - 1j * s * old01
+        rows, _, middle, _, low = view.shape
+        row_step, hi_step, middle_step, lo_step, low_step = view.strides
+        # |10> sits one step up qubit hi and one step down qubit lo from |01>.
+        pair = as_strided(
+            view[:, 0, :, 1, :],
+            (2, rows, middle, low),
+            (hi_step - lo_step, row_step, middle_step, low_step),
+        )
+        self._views[key] = pair
+        return pair
 
     # -- measurement -----------------------------------------------------
 
@@ -325,14 +373,18 @@ class StateVector:
         """<Z_qubit>: bit value 0 counts as +1."""
         self._check_one_state()
         self._check_qubit(qubit)
-        return float(self.probabilities().dot(_z_signs(self.n_qubits, qubit)))
+        return float(_z_dot(self.probabilities(), _z_signs(self.n_qubits, qubit)))
 
     def expectation_z_all(self) -> np.ndarray:
         # ndarray.dot runs the ddot of np.dot without its __array_function__
-        # dispatch, about a quarter of an 8-qubit readout.
+        # dispatch, about a quarter of an 8-qubit readout, so a register of
+        # one piece calls it directly, with no Python call per qubit.
         self._check_one_state()
         probs = self.probabilities()
-        return np.array([probs.dot(z) for z in _all_z_signs(self.n_qubits)])
+        signs = _all_z_signs(self.n_qubits)
+        if probs.size <= _READOUT_PIECE:
+            return np.array([probs.dot(z) for z in signs])
+        return np.array([_z_dot(probs, z) for z in signs])
 
     def average_z(self) -> float:
         """(1/Q) sum_q <Z_q>."""

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repdtc import (
     PauliString,
     StateVector,
     build_model,
+    compiler,
     harness,
     ideal_model_params,
     lower_program,
@@ -511,6 +513,19 @@ class TestCircuitRegister:
             circuit.apply_to(state)
         assert np.array_equal(state.amplitudes, before)
 
+    @pytest.mark.parametrize(
+        "entry, problem",
+        [
+            (ISwapRotation((0, 5), QUARTER), "outside a register of 3"),
+            (ISwapRotation((1, 1), QUARTER), "two distinct qubits"),
+            (PauliRotation(PauliString.from_ops(4, {0: "Z"}), 0.2), "4-qubit"),
+        ],
+    )
+    def test_entry_that_does_not_fit_is_refused_at_construction(self, entry, problem):
+        x0 = PauliRotation(PauliString.from_ops(3, {0: "X"}), 0.3)
+        with pytest.raises(ValueError, match=f"entry 1 .*{problem}"):
+            Circuit(3, (x0, entry))
+
     def test_chunked_layouts_match_the_register_layouts(self):
         config = PRESETS["fig4-analog"]
         _, circuit = harness._build_realization(config, SeedPlan(config.seed), 0)
@@ -524,6 +539,37 @@ class TestCircuitRegister:
             assert view.layout == pauli_view(entry.pauli).layout
             chunked += cut
         assert 0 < chunked < len(circuit)
+
+    @pytest.mark.parametrize("cores, pool", [(3, 1), (8, 2), (2, 2)])
+    def test_chunk_threads_match_one_thread(self, monkeypatch, rng, cores, pool):
+        # 17 qubits are four chunks: split over two or four threads (more
+        # than this machine may have), or one thread when the pool takes
+        # every core.
+        n = CHUNK_QUBITS + 2
+        rotations = (
+            PauliRotation(PauliString.from_ops(n, {0: "Z", 3: "X"}), 0.3),
+            ISwapRotation((1, 2), QUARTER),
+            PauliRotation(PauliString.from_ops(n, {2: "Y", n - 1: "X"}), 0.7),
+            PauliRotation(PauliString.from_ops(n, {1: "Z", 5: "Y"}), -0.4),
+        )
+        start = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        want = StateVector(n, start.copy())
+        for rot in rotations:
+            if isinstance(rot, ISwapRotation):
+                want.apply_iswap(*rot.qubits, angle=rot.angle)
+            else:
+                want.apply_rotation(rot)
+        monkeypatch.setattr(compiler, "usable_cores", lambda: cores)
+        monkeypatch.setattr(compiler, "_pool_size", pool)
+        state = StateVector(n, start)
+        # Threads switch as often as the interpreter allows.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            Circuit(n, rotations).apply_to(state)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(state.amplitudes, want.amplitudes)
 
     def test_block_of_chunked_states_matches_each_row(self, rng):
         n = CHUNK_QUBITS + 1

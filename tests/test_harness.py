@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -551,6 +552,59 @@ class TestDeterminism:
             data.pop("wall_seconds")
             records.append(data)
         assert records[0] == records[1] == records[2]
+
+    def _series_bytes_in_subprocess(self, code, timeout, **env):
+        """series.csv bytes that ``code`` writes under ``out``, run in a
+        fresh interpreter."""
+        src = str(Path(harness.__file__).parents[1])
+        with tempfile.TemporaryDirectory() as out:
+            # Its own session, so that a timeout also ends its pool workers.
+            proc = subprocess.Popen(
+                [sys.executable, "-c", code, out],
+                env={**os.environ, "PYTHONPATH": src, **env},
+                start_new_session=True,
+            )
+            try:
+                proc.wait(timeout)
+            finally:
+                if proc.returncode is None:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    proc.wait()
+            assert proc.returncode == 0
+            return [p.read_bytes() for p in sorted(Path(out).glob("*/series.csv"))]
+
+    def test_chunk_threads_do_not_hang_a_later_pool(self):
+        # A one-worker 16-qubit run starts helper threads.  Each worker of
+        # the pool forked afterwards runs two chunk threads, as on four
+        # cores, and must start its own helpers rather than wait on
+        # threads it did not inherit; the bytes agree.
+        code = (
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "from repdtc import PRESETS, compiler, run_experiment\n"
+            "compiler.usable_cores = lambda: 4\n"
+            "cfg = replace(PRESETS['fig4-analog'], realizations=2, cycles=4)\n"
+            "for workers in (1, 2):\n"
+            "    run_experiment(cfg, out_dir=f'{sys.argv[1]}/w{workers}', "
+            "workers=workers)\n"
+        )
+        one, two = self._series_bytes_in_subprocess(code, timeout=60)
+        assert one == two
+
+    def test_blas_thread_count_leaves_16_qubit_bytes_alone(self):
+        code = (
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "from repdtc import PRESETS, run_experiment\n"
+            "cfg = replace(PRESETS['fig4-analog'], realizations=2, cycles=8, "
+            "shots=None)\n"
+            "run_experiment(cfg, out_dir=f'{sys.argv[1]}/run')\n"
+        )
+        blobs = [
+            self._series_bytes_in_subprocess(code, timeout=60, OPENBLAS_NUM_THREADS=t)
+            for t in ("1", "2")
+        ]
+        assert blobs[0] == blobs[1] and len(blobs[0]) == 1
 
     def test_seed_changes_output(self):
         a = run_experiment(small_config())

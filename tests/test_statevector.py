@@ -217,6 +217,32 @@ class TestMatrixGates:
                 s.apply_iswap(a, b, angle=-math.pi / 4 if inverse else math.pi / 4)
                 assert np.allclose(s.amplitudes, want, atol=1e-12)
 
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_iswap_is_bit_equal_to_one_product_at_a_time(self, rng, rows):
+        # The kernel takes its four products in one call; each must keep
+        # the bits of c * |01> - (1j*s) * |10> and its mirror, signed
+        # zeros included, through the views it keeps between calls.
+        n = 5
+        shape = (1 << n,) if rows is None else (rows, 1 << n)
+        start = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        start.real[rng.random(shape) < 0.1] = -0.0
+        start.imag[rng.random(shape) < 0.1] = 0.0
+        for a, b in ((0, 1), (1, 3), (4, 0), (2, 4)):
+            want = start.copy()
+            state = StateVector(n, start.copy())
+            for angle in (math.pi / 4, -math.pi / 4, 0.3):
+                c, s = math.cos(2 * angle), math.sin(2 * angle)
+                hi, lo = max(a, b), min(a, b)
+                view = want.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+                v01, v10 = view[:, 0, :, 1, :], view[:, 1, :, 0, :]
+                old01 = v01.copy()
+                v01[...] = c * old01 - 1j * s * v10
+                v10[...] = c * v10 - 1j * s * old01
+                state.apply_iswap(a, b, angle=angle)
+                assert np.array_equal(
+                    state.amplitudes.view(np.uint64), want.view(np.uint64)
+                )
+
     def test_iswap_action_on_01(self):
         s = StateVector.basis_state(2, 1)
         s.apply_iswap(0, 1)
@@ -389,6 +415,28 @@ class TestMeasurement:
         all_z = s.expectation_z_all()
         for q in range(4):
             assert all_z[q] == pytest.approx(s.expectation_z(q))
+
+    @pytest.mark.parametrize("n", [1, 8, 13])
+    def test_readout_of_one_piece_is_one_dot(self, rng, n):
+        s = random_state(rng, n)
+        probs = s.probabilities()
+        for q, value in enumerate(s.expectation_z_all()):
+            z = 1.0 - 2.0 * ((np.arange(1 << n) >> q) & 1)
+            assert value == probs.dot(z) == s.expectation_z(q)
+
+    def test_large_readout_sums_its_pieces_in_order(self, rng):
+        # Every piece stays below OpenBLAS's threading cutoff, so the bytes
+        # do not depend on the BLAS thread count.
+        n, piece = 16, 1 << 13
+        s = random_state(rng, n)
+        probs = s.probabilities()
+        all_z = s.expectation_z_all()
+        for q in range(n):
+            z = 1.0 - 2.0 * ((np.arange(1 << n) >> q) & 1)
+            want = 0.0
+            for start in range(0, 1 << n, piece):
+                want += probs[start : start + piece].dot(z[start : start + piece])
+            assert all_z[q] == want == s.expectation_z(q)
 
     def test_average_z(self, rng):
         s = random_state(rng, 3)
