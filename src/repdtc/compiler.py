@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .pauli import PauliRotation, PauliString, clifford_conjugate
-from .statevector import StateVector, pauli_view
+from .statevector import CHUNK_QUBITS, StateVector, pauli_view
 
 if TYPE_CHECKING:
     from .models import ChainLayout, FloquetProgram
@@ -59,15 +59,6 @@ class ISwapRotation:
 
     qubits: tuple[int, int]
     angle: float
-
-
-# A run of entries on qubits below this one applies to one chunk of
-# 2**15 amplitudes (512 KiB) at a time: a chunk and one flip temporary
-# fill half of a 2 MiB L2, where a 16-qubit register and its temporary
-# stream every gate from L3.  Chunks of 2**14 saved less (0.87x the
-# unchunked cycle time), and 2**13 less again.  A register of at most
-# 2**15 amplitudes is a single chunk.
-CHUNK_QUBITS = 15
 
 
 def usable_cores() -> int:

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .compiler import (
+    CHUNK_QUBITS,
     LOWERING_LEVELS,
     CompilationError,
     lower_program,
@@ -583,20 +584,28 @@ def estimate_seconds(config: ExperimentConfig, circuit=None) -> float:
 def _peak_bytes(config: ExperimentConfig) -> int:
     """Memory one realization holds at its peak, known before it runs.
 
-    Per amplitude: the state and one flip temporary (complex128), the
-    probabilities of a readout, and one float64 sign vector per qubit
-    read (all n, or only ``measure_qubit``).  Inside a chunked run the
-    flip temporary is chunk-sized, but entries on the top qubits still
-    take a register-sized one, so the formula stands.  T chunk threads
-    hold at most T chunk-sized temporaries at once, one chunk each, which
-    together are no larger than the register-sized one.  An iSWAP's copy
-    and products (24 bytes per amplitude) stay within the flip and
-    readout terms.  Above 10 qubits
-    gates cache nothing as long as the register; below, a diagonal
-    step's table has at most 2**10 entries.
+    The state takes 16 bytes per amplitude.  Every other array a run
+    holds is no larger than a chunk of C = 2**CHUNK_QUBITS amplitudes,
+    so none grows with the register or with the qubits read:
+
+    - A flip takes one complex temporary of what it runs on: a chunk, a
+      register of at most C amplitudes, or a slab of at most C.  A slab
+      spans at least the X/Y axes of its string, and every model and
+      lowering makes strings of at most two X/Y letters.  16 C bytes.
+    - An iSWAP copies the |01> and |10> amplitudes of what it runs on,
+      at most C / 2 of them, and takes two products of the copy.  24 C
+      bytes, which cover the flip's.
+    - Each chunk thread holds one such gate's arrays at a time.  There
+      are at most min(chunks, usable cores) threads; entries on the
+      whole register run on the calling thread alone.
+    - A Z readout holds |psi|**2 of one piece of 2**13 amplitudes (or of
+      a smaller register) and the sign table, 14 vectors of at most
+      2**13 entries.  15 * 2**13 float64s.
     """
-    read = config.n_qubits if config.measure_qubit is None else 1
-    return (1 << config.n_qubits) * (16 + 16 + 8 + 8 * read)
+    chunks = 1 << max(0, config.n_qubits - CHUNK_QUBITS)
+    threads = min(chunks, usable_cores())
+    gates = threads * 24 * (1 << CHUNK_QUBITS)
+    return (16 << config.n_qubits) + gates + 15 * 8 * (1 << 13)
 
 
 def _physical_memory() -> int:

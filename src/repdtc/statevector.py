@@ -16,16 +16,21 @@ keeps the reshaped and flipped views of each layout it has run until
 ``amplitudes`` is replaced by another array, and likewise the quarters
 of each iSWAP pair and its chunks: sub-registers over consecutive runs
 of amplitudes, on which a compiled circuit runs its gates below the
-chunk size one cache-sized chunk at a time, split across threads.  A Z
-readout is a BLAS ``ddot`` per qubit, summed over pieces of 2**13
-amplitudes above that size, so no BLAS thread wakes and the bytes do
-not depend on the BLAS thread count.
+chunk size one cache-sized chunk at a time, split across threads.  A
+flip or an iSWAP on a larger register runs in slabs of at most a
+chunk's size, each cut along axes the gate does not reverse, so no
+temporary is larger than a chunk.  A Z readout is a BLAS ``ddot`` per
+qubit; above 2**13 amplitudes it runs one 2**13-amplitude piece at a
+time, summed over the pieces in order with one table of 2**13-entry
+signs, so no BLAS thread wakes, the bytes do not depend on the BLAS
+thread count and no array is as long as the register.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -35,41 +40,77 @@ from .pauli import PauliRotation, PauliString
 
 MAX_QUBITS = 24
 
-# (-1)**(bit q) vectors keyed by (register size, q): the operands of the
-# BLAS ``ddot`` in the Z readout.  No gate reads or fills them.
-_SIGN_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _z_signs(n: int, qubit: int) -> np.ndarray:
-    if (n, qubit) not in _SIGN_CACHE:
-        _SIGN_CACHE[n, qubit] = 1.0 - 2.0 * ((np.arange(1 << n) >> qubit) & 1)
-    return _SIGN_CACHE[n, qubit]
-
-
-@functools.lru_cache(maxsize=None)
-def _all_z_signs(n: int) -> tuple[np.ndarray, ...]:
-    return tuple(_z_signs(n, q) for q in range(n))
-
+# A run of entries on qubits below this one applies to one chunk of
+# 2**15 amplitudes (512 KiB) at a time: a chunk and one flip temporary
+# fill half of a 2 MiB L2, where a 16-qubit register and its temporary
+# stream every gate from L3.  Chunks of 2**14 saved less (0.87x the
+# unchunked cycle time), and 2**13 less again.  A register of at most
+# 2**15 amplitudes is a single chunk.  A flip or an iSWAP on a larger
+# register runs in slabs of at most this many amplitudes.
+CHUNK_QUBITS = 15
 
 # A readout of more amplitudes than this sums one ``ddot`` per piece of
 # this many, in order.  OpenBLAS splits a longer ``ddot`` across its
 # threads, which then spin on the other cores for the rest of the run,
 # and its split sum rounds with the BLAS thread count.  A piece stays
 # below OpenBLAS's threading cutoff (10,000 elements).
-_READOUT_PIECE = 1 << 13
+_PIECE_QUBITS = 13
+_READOUT_PIECE = 1 << _PIECE_QUBITS
 
 
-def _z_dot(probs: np.ndarray, signs: np.ndarray) -> float:
-    """probs . signs, as the in-order sum of the dots of their pieces."""
-    if probs.size <= _READOUT_PIECE:
-        return probs.dot(signs)
-    return sum(
-        map(
-            np.ndarray.dot,
-            probs.reshape(-1, _READOUT_PIECE),
-            signs.reshape(-1, _READOUT_PIECE),
-        )
-    )
+@functools.lru_cache(maxsize=None)
+def _z_signs(bits: int) -> tuple[np.ndarray, ...]:
+    """Vector q < ``bits`` holds (-1)**(bit q of i) for i < 2**bits, and
+    vector ``bits`` ones: the operands of the Z readout's ``ddot``."""
+    index = np.arange(1 << bits)
+    return tuple(1.0 - 2.0 * ((index >> q) & 1) for q in range(bits + 1))
+
+
+def _slabs(shape: tuple, kept: tuple, limit: int) -> tuple | None:
+    """Index tuples that cut a view of ``shape`` into slabs of at most
+    ``limit`` entries, along the axes not in ``kept``, outermost first;
+    None when the view is no larger.
+
+    A gate that reverses only ``kept`` axes reads, through its reversed
+    view, only the entries of the slab it writes, so slab after slab
+    applies in place.
+    """
+    size = math.prod(shape)
+    if size <= limit:
+        return None
+    cuts = []
+    for axis, length in enumerate(shape):
+        if size <= limit:
+            break
+        if axis in kept:
+            cuts.append([slice(None)])
+            continue
+        rest = size // length
+        step = max(1, limit // rest)
+        cuts.append([slice(i, i + step) for i in range(0, length, step)])
+        size = rest * min(step, length)
+    return tuple(itertools.product(*cuts))
+
+
+def _flip(view, reversed_view, table, cos: float, order: str) -> None:
+    """view <- cos * view + table * (view with its X/Y axes reversed)."""
+    if order == "K":
+        flipped = reversed_view * table
+    else:
+        flipped = np.empty_like(view)
+        np.multiply(reversed_view, table, out=flipped, order=order)
+    view *= cos
+    view += flipped
+
+
+def _iswap(pair, coefs) -> None:
+    # products[k, j] = coefs[k] * pair[j]: each has the operands, in the
+    # same order, of c * |01> - (1j*s) * |10> and its mirror taken one
+    # product at a time, so the bits are the same.  Three calls instead
+    # of nine mean fewer hand-offs of the interpreter lock between chunk
+    # threads.
+    products = coefs * pair.copy()
+    np.subtract(products[0], products[1, ::-1], out=pair)
 
 
 # Qubits below the lowest X/Y letter, and below this bound, share the
@@ -228,24 +269,40 @@ class StateVector:
         if n != self.n_qubits:
             raise ValueError("rotation register size does not match state")
         views = self._views.get(layout) if self._viewed is self.amplitudes else None
-        view, reversed_view = views or self._take_views(layout)
+        view, reversed_view, slabs = views or self._take_views(layout)
         if reversed_view is None:
             view *= table
-            return
-        if order == "K":
-            flipped = reversed_view * table
+        elif slabs is None:
+            # Inline, not a call to _flip: a call costs 3 us of an 8-qubit
+            # period's 52.
+            if order == "K":
+                flipped = reversed_view * table
+            else:
+                flipped = np.empty_like(view)
+                np.multiply(reversed_view, table, out=flipped, order=order)
+            view *= cos
+            view += flipped
         else:
-            flipped = np.empty_like(view)
-            np.multiply(reversed_view, table, out=flipped, order=order)
-        view *= cos
-        view += flipped
+            # A table is cut with the view; a scalar stays one.
+            cut = type(table) is np.ndarray
+            tables = np.broadcast_to(table, view.shape) if cut else None
+            for slab in slabs:
+                part = tables[slab] if cut else table
+                _flip(view[slab], reversed_view[slab], part, cos, order)
 
     def _take_views(self, layout: tuple) -> tuple:
-        """Take and keep the views of a step's layout."""
+        """Take and keep the views of a step's layout, and a flip's slabs
+        of at most 2**CHUNK_QUBITS amplitudes on a larger register."""
         self._own_views()
         shape, axes = layout
         view = self.amplitudes.reshape(shape)
-        views = (view, None if axes is None else np.flip(view, axes))
+        if axes is None:
+            views = (view, None, None)
+        else:
+            slabs = None
+            if self.n_qubits > CHUNK_QUBITS:
+                slabs = _slabs(view.shape, axes, 1 << CHUNK_QUBITS)
+            views = (view, np.flip(view, axes), slabs)
         self._views[layout] = views
         return views
 
@@ -330,21 +387,20 @@ class StateVector:
         its inverse.
         """
         key = ("iswap", qubit_a, qubit_b)
-        pair = self._views.get(key) if self._viewed is self.amplitudes else None
-        if pair is None:
-            pair = self._take_pair_view(key)
+        views = self._views.get(key) if self._viewed is self.amplitudes else None
+        pair, slabs = views or self._take_pair_view(key)
         coefs = np.array([math.cos(2 * angle), 1j * math.sin(2 * angle)])
-        # products[k, j] = coefs[k] * pair[j]: each has the operands, in
-        # the same order, of c * |01> - (1j*s) * |10> and its mirror taken
-        # one product at a time, so the bits are the same.  Three calls
-        # instead of nine mean fewer hand-offs of the interpreter lock
-        # between chunk threads.
-        products = coefs[:, None, None, None, None] * pair.copy()
-        np.subtract(products[0], products[1, ::-1], out=pair)
+        coefs = coefs[:, None, None, None, None]
+        if slabs is None:
+            _iswap(pair, coefs)
+        else:
+            for slab in slabs:
+                _iswap(pair[slab], coefs)
 
-    def _take_pair_view(self, key: tuple) -> np.ndarray:
+    def _take_pair_view(self, key: tuple) -> tuple:
         """Take and keep the |01> and |10> quarters of an iSWAP's pair as
-        one ``(2, ...)`` view."""
+        one ``(2, ...)`` view, with its slabs of at most 2**CHUNK_QUBITS
+        amplitudes on a larger register."""
         _, qubit_a, qubit_b = key
         self._check_qubit(qubit_a)
         self._check_qubit(qubit_b)
@@ -361,8 +417,12 @@ class StateVector:
             (2, rows, middle, low),
             (hi_step - lo_step, row_step, middle_step, low_step),
         )
-        self._views[key] = pair
-        return pair
+        # A slab of the pair holds half the amplitudes it spans.
+        slabs = None
+        if self.n_qubits > CHUNK_QUBITS:
+            slabs = _slabs(pair.shape, (0,), 1 << (CHUNK_QUBITS - 1))
+        self._views[key] = pair, slabs
+        return pair, slabs
 
     # -- measurement -----------------------------------------------------
 
@@ -373,18 +433,47 @@ class StateVector:
         """<Z_qubit>: bit value 0 counts as +1."""
         self._check_one_state()
         self._check_qubit(qubit)
-        return float(_z_dot(self.probabilities(), _z_signs(self.n_qubits, qubit)))
+        return float(self._z_sums(slice(qubit, qubit + 1))[0])
 
     def expectation_z_all(self) -> np.ndarray:
-        # ndarray.dot runs the ddot of np.dot without its __array_function__
-        # dispatch, about a quarter of an 8-qubit readout, so a register of
-        # one piece calls it directly, with no Python call per qubit.
         self._check_one_state()
-        probs = self.probabilities()
-        signs = _all_z_signs(self.n_qubits)
-        if probs.size <= _READOUT_PIECE:
-            return np.array([probs.dot(z) for z in signs])
-        return np.array([_z_dot(probs, z) for z in signs])
+        return np.array(self._z_sums(slice(0, self.n_qubits)))
+
+    def _z_sums(self, qubits: slice):
+        """<Z_q> for the qubits q in the ``qubits`` slice of the register:
+        |psi|**2 dotted with the signs of q, or above 2**13 amplitudes,
+        the sum from 0, in order, of one such ``ddot`` per 2**13-amplitude
+        piece."""
+        amps = self.amplitudes
+        if amps.size <= _READOUT_PIECE:
+            # ndarray.dot runs the ddot of np.dot without its
+            # __array_function__ dispatch, about a quarter of an 8-qubit
+            # readout.
+            probs = np.abs(amps) ** 2
+            return [probs.dot(z) for z in _z_signs(self.n_qubits)[qubits]]
+        qubits = range(self.n_qubits)[qubits]
+        signs = _z_signs(_PIECE_QUBITS)
+        low = [signs[q] for q in qubits if q < _PIECE_QUBITS]
+        # The sign of qubit 13 + j is constant on a piece: on piece k it
+        # is (-1)**(bit j of k), signs[j][k], times the piece's dot with
+        # ones.  Row k of ``high`` holds those of piece k.
+        pieces = amps.size >> _PIECE_QUBITS
+        high = [signs[q - _PIECE_QUBITS][:pieces] for q in qubits[len(low) :]]
+        high = np.array(high).T if high else None
+        ones = signs[_PIECE_QUBITS]
+        sums = np.zeros(len(qubits))
+        dots = np.empty_like(sums)
+        probs = np.empty(_READOUT_PIECE)
+        # np.square is what ``** 2`` runs; ``sums += dots`` adds each
+        # qubit's dot of piece k to its sum, in order from 0.
+        for k, piece in enumerate(amps.reshape(-1, _READOUT_PIECE)):
+            np.square(np.abs(piece, out=probs), out=probs)
+            for i, z in enumerate(low):
+                dots[i] = probs.dot(z)
+            if high is not None:
+                np.multiply(high[k], probs.dot(ones), out=dots[len(low) :])
+            sums += dots
+        return sums
 
     def average_z(self) -> float:
         """(1/Q) sum_q <Z_q>."""

@@ -591,6 +591,55 @@ class TestDeterminism:
         one, two = self._series_bytes_in_subprocess(code, timeout=60)
         assert one == two
 
+    def test_20_qubit_run_stays_within_its_peak_bytes(self):
+        # fig2a widened to 2x10 chains reads all 20 qubits every cycle,
+        # with two chunk threads as on two cores.  With one sign vector
+        # per qubit read as long as the register, it peaked at 238 MiB.
+        # On Linux a process started by exec takes over the peak RSS of
+        # the process it replaced, here a fork of the test runner, so the
+        # run goes to a child forked from the fresh interpreter, whose
+        # ru_maxrss is its own.
+        code = (
+            "import os, resource, sys\n"
+            "from dataclasses import replace\n"
+            "from repdtc import PRESETS, compiler, harness, run_experiment\n"
+            "compiler.usable_cores = harness.usable_cores = lambda: 2\n"
+            "cfg = replace(PRESETS['fig2a'], sites=10, realizations=1, cycles=4)\n"
+            "pid = os.fork()\n"
+            "if pid:\n"
+            "    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+            "try:\n"
+            "    base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    run_experiment(cfg)\n"
+            "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    print(base * 1024, peak * 1024, harness._peak_bytes(cfg), flush=True)\n"
+            "except BaseException:\n"
+            "    import traceback\n"
+            "    traceback.print_exc()\n"
+            "    os._exit(1)\n"
+            "os._exit(0)\n"
+        )
+        src = str(Path(harness.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        base, peak, need = map(int, out.stdout.split())
+        # The margin covers what the run adds beside its arrays: modules
+        # it imports, the circuit and its views, helper thread stacks and
+        # numpy's iterator buffers (1.4 MiB measured on Linux, numpy 2.4).
+        margin = 8 << 20
+        assert peak <= base + need + margin
+        assert peak < 80 << 20
+
+    def test_peak_bytes_do_not_grow_with_the_qubits_read(self, monkeypatch):
+        monkeypatch.setattr(harness, "usable_cores", lambda: 2)
+        for sites in (4, 10):
+            cfg = replace(PRESETS["fig2a"], sites=sites)
+            one = harness._peak_bytes(replace(cfg, measure_qubit=0))
+            assert harness._peak_bytes(cfg) == one
+            assert one < (16 << cfg.n_qubits) + (4 << 20)
+
     def test_blas_thread_count_leaves_16_qubit_bytes_alone(self):
         code = (
             "import sys\n"
@@ -785,7 +834,7 @@ class TestCli:
         assert "Traceback" not in err
 
     def test_run_beyond_physical_memory_exits_2(self, capsys, monkeypatch):
-        # 8 qubits need about 26 KiB; the check runs before any evolution.
+        # 8 qubits need about 1.7 MiB; the check runs before any evolution.
         monkeypatch.setattr(harness, "_physical_memory", lambda: 1 << 10)
         assert cli.main(["run", "ideal-u4", "--threads", "1"]) == 2
         err = capsys.readouterr().err

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repdtc import PauliRotation, PauliString, StateVector
 from repdtc.compiler import Circuit
-from repdtc.statevector import MAX_QUBITS, pauli_view
+from repdtc.statevector import CHUNK_QUBITS, MAX_QUBITS, pauli_view
 
 from conftest import dense_iswap, dense_pauli, dense_rotation
 
@@ -404,6 +404,91 @@ def test_one_state_methods_refuse_a_block(readout):
         readout(block)
 
 
+def signed_zero_start(rng, shape):
+    start = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    start.real[rng.random(shape) < 0.1] = -0.0
+    start.imag[rng.random(shape) < 0.1] = 0.0
+    return start
+
+
+class TestSlabs:
+    """Gates on a register of more than 2**CHUNK_QUBITS amplitudes run in
+    slabs; each must keep the bits of the unsliced gate."""
+
+    N = CHUNK_QUBITS + 2
+    STRINGS = (
+        {16: "X"},
+        {16: "Y"},
+        {0: "Z", 15: "X", 16: "Z"},
+        {3: "Y", 16: "X"},
+        {1: "Z", 5: "Z", 9: "Z", 16: "Y"},
+    )
+    ANGLES = (math.pi / 4, -math.pi / 4, 0.3)
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_flips_are_bit_equal_to_the_unsliced_flip(self, rng, rows):
+        n = self.N
+        shape = (1 << n,) if rows is None else (rows, 1 << n)
+        start = signed_zero_start(rng, shape)
+        for ops in self.STRINGS:
+            want = start.copy()
+            state = StateVector(n, start.copy())
+            for theta in self.ANGLES:
+                rot = PauliRotation(PauliString.from_ops(n, ops), theta)
+                _, (view_shape, axes), table, cos, _ = pauli_view(rot.pauli).step(theta)
+                view = want.reshape(view_shape)
+                flipped = np.flip(view, axes) * table
+                view *= cos
+                view += flipped
+                state.apply_rotation(rot)
+                assert np.array_equal(
+                    state.amplitudes.view(np.uint64), want.view(np.uint64)
+                ), (ops, theta)
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_iswaps_are_bit_equal_to_one_product_at_a_time(self, rng, rows):
+        n = self.N
+        shape = (1 << n,) if rows is None else (rows, 1 << n)
+        start = signed_zero_start(rng, shape)
+        for a, b in ((0, 16), (15, 16), (7, 16), (3, 9)):
+            want = start.copy()
+            state = StateVector(n, start.copy())
+            for angle in self.ANGLES:
+                c, s = math.cos(2 * angle), math.sin(2 * angle)
+                hi, lo = max(a, b), min(a, b)
+                view = want.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+                v01, v10 = view[:, 0, :, 1, :], view[:, 1, :, 0, :]
+                old01 = v01.copy()
+                v01[...] = c * old01 - 1j * s * v10
+                v10[...] = c * v10 - 1j * s * old01
+                state.apply_iswap(a, b, angle=angle)
+                assert np.array_equal(
+                    state.amplitudes.view(np.uint64), want.view(np.uint64)
+                ), ((a, b), angle)
+
+    def test_temporaries_stay_within_a_slab(self, rng):
+        # Register-sized, the flip's temporary alone would be 2 MiB and
+        # the iSWAP's copy and products 3 MiB; a slab's are at most
+        # 512 and 768 KiB.
+        n = self.N
+        state = random_state(rng, n)
+        gates = [
+            lambda: state.apply_rotation(
+                PauliRotation(PauliString.from_ops(n, ops), 0.3)
+            )
+            for ops in self.STRINGS
+        ] + [lambda: state.apply_iswap(0, 16)]
+        for gate in gates:
+            gate()  # the views and slabs are kept; the peak is the gate's
+            tracemalloc.start()
+            try:
+                gate()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+
 class TestMeasurement:
     def test_expectation_z_on_basis_states(self):
         s = StateVector.basis_state(2, 2)
@@ -424,19 +509,54 @@ class TestMeasurement:
             z = 1.0 - 2.0 * ((np.arange(1 << n) >> q) & 1)
             assert value == probs.dot(z) == s.expectation_z(q)
 
-    def test_large_readout_sums_its_pieces_in_order(self, rng):
+    @pytest.mark.parametrize("n", [14, 16, 18])
+    @pytest.mark.parametrize("kind", ["random", "basis", "sparse"])
+    def test_large_readout_sums_its_pieces_in_order(self, rng, n, kind):
         # Every piece stays below OpenBLAS's threading cutoff, so the bytes
-        # do not depend on the BLAS thread count.
-        n, piece = 16, 1 << 13
-        s = random_state(rng, n)
-        probs = s.probabilities()
-        all_z = s.expectation_z_all()
+        # do not depend on the BLAS thread count.  The reference reads
+        # with one register-sized +-1 vector per qubit: ndarray.dot of
+        # consecutive 2**13-amplitude pieces, summed from 0 in order.
+        size, piece = 1 << n, 1 << 13
+        amps = np.zeros(size, dtype=complex)
+        if kind == "random":
+            amps[:] = rng.normal(size=size) + 1j * rng.normal(size=size)
+        elif kind == "basis":
+            amps[rng.integers(size)] = 1.0
+        else:
+            where = rng.choice(size, size=50, replace=False)
+            amps[where] = rng.normal(size=50) + 1j * rng.normal(size=50)
+        s = StateVector(n, amps / np.linalg.norm(amps))
+        probs = np.abs(s.amplitudes) ** 2
+        want = []
         for q in range(n):
-            z = 1.0 - 2.0 * ((np.arange(1 << n) >> q) & 1)
-            want = 0.0
-            for start in range(0, 1 << n, piece):
-                want += probs[start : start + piece].dot(z[start : start + piece])
-            assert all_z[q] == want == s.expectation_z(q)
+            z = 1.0 - 2.0 * ((np.arange(size) >> q) & 1)
+            total = 0
+            for start in range(0, size, piece):
+                total += probs[start : start + piece].dot(z[start : start + piece])
+            want.append(total)
+        want = np.array(want)
+        assert np.array_equal(s.expectation_z_all().view(np.uint64), want.view(np.uint64))
+        for q in range(n):
+            assert np.float64(s.expectation_z(q)).tobytes() == want[q].tobytes()
+        assert np.float64(s.average_z()).tobytes() == want.mean().tobytes()
+        for q in (0, 12, 13, n - 1):
+            p_plus = min(1.0, max(0.0, (1.0 + float(want[q])) / 2.0))
+            hits = int(np.random.default_rng(q).binomial(333, p_plus))
+            got = s.sample_z(q, 333, np.random.default_rng(q))
+            assert got == (2 * hits - 333) / 333
+
+    def test_large_readout_keeps_no_register_sized_array(self, rng):
+        s = random_state(rng, 18)
+        s.expectation_z_all()  # builds the sign table once
+        tracemalloc.start()
+        try:
+            s.expectation_z_all()
+            s.expectation_z(17)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # |psi|**2 of the register alone would be 2 MiB.
+        assert peak < 256 << 10
 
     def test_average_z(self, rng):
         s = random_state(rng, 3)

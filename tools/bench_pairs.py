@@ -122,6 +122,26 @@ def _summary(pairs: list[dict], names: list[str]) -> dict:
     return summary
 
 
+def _claim(summary: dict, pairs: int, held: dict, metric: str) -> dict:
+    """Whether the change lowers ``metric``: it is met when the change is
+    lower in at least nine tenths of the pairs (ties count for neither
+    side), its median is lower, and the medians differ by more than the
+    parent's interquartile range."""
+    row = summary[metric]
+    lower = row["change_lower_in_pairs"]
+    return {
+        "metric": metric,
+        "change_lower_in_pairs": lower,
+        "pairs": pairs,
+        "median_gap_exceeds_parent_iqr": row["median_gap_exceeds_parent_iqr"],
+        "met": lower >= 0.9 * pairs
+        and row["change"]["median"] < row["parent"]["median"]
+        and row["median_gap_exceeds_parent_iqr"],
+        "held_out_change_lower": held["change"]["metrics"].get(metric, 0)
+        < held["parent"]["metrics"].get(metric, 0),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="parent revision")
@@ -166,21 +186,7 @@ def main(argv=None) -> int:
     env = next((e for e in [r.pop("env", None) for r in runs] + envs if e), None)
     clean = sum(r["correct"] and r["failed"] == 0 for r in runs)
     summary = _summary(pairs, names)
-    claim = None
-    if args.claim:
-        row = summary[args.claim]
-        lower = row["change_lower_in_pairs"]
-        claim = {
-            "metric": args.claim,
-            "change_lower_in_pairs": lower,
-            "pairs": len(pairs),
-            "median_gap_exceeds_parent_iqr": row["median_gap_exceeds_parent_iqr"],
-            "met": lower >= 0.9 * len(pairs)
-            and row["change"]["median"] < row["parent"]["median"]
-            and row["median_gap_exceeds_parent_iqr"],
-            "held_out_change_lower": held["change"]["metrics"].get(args.claim, 0)
-            < held["parent"]["metrics"].get(args.claim, 0),
-        }
+    claim = _claim(summary, len(pairs), held, args.claim) if args.claim else None
     doc = {
         "what": "perfbench end-to-end metrics, parent against this change, on one host",
         "parent": parent_rev,
