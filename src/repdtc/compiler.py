@@ -105,35 +105,39 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(before=_stop_helper_threads)
 
 
-def _apply_entries(targets, entries, steps) -> None:
-    """Apply the entries, with their steps, to each target in turn."""
-    for target in targets:
+def _apply_entries(state, entries, steps, parts) -> None:
+    """Apply the entries, with their steps, to each slab of ``parts``
+    in turn; slab None is the whole register."""
+    for part in parts:
         for entry, step in zip(entries, steps):
             if type(entry) is ISwapRotation:
-                target.apply_iswap(*entry.qubits, angle=step)
+                state.apply_iswap(*entry.qubits, angle=step, part=part)
             else:
-                target.apply_rotation(entry, step)
+                state.apply_rotation(entry, step, part)
 
 
-def _apply_to_chunks(chunks, entries, steps) -> None:
-    """Apply a run to every chunk, on up to one thread per usable core
-    of this process's share.
+def _apply_to_chunks(state, entries, steps) -> None:
+    """Apply a run to every chunk (slab of 2**CHUNK_QUBITS amplitudes), on
+    up to one thread per usable core of this process's share.
 
     The caller's thread takes the first share of consecutive chunks and
     helper threads the others; the call returns when all have finished.
     Chunks are disjoint, so each amplitude sees the same operations in
     the same order as on one thread.
     """
-    threads = min(len(chunks), usable_cores() // _pool_size)
-    if threads < 2:
-        _apply_entries(chunks, entries, steps)
-        return
-    share = -(-len(chunks) // threads)
-    parts = [chunks[i : i + share] for i in range(0, len(chunks), share)]
-    helpers = _helper_threads()
-    futures = [helpers.submit(_apply_entries, part, entries, steps) for part in parts[1:]]
+    chunks = range(state.amplitudes.size >> CHUNK_QUBITS)
+    share = -(-len(chunks) // max(1, usable_cores() // _pool_size))
+    # Before any helper starts, so that none copies a replaced amplitude
+    # array while this thread writes to it.
+    state._own_views()
+    futures = [
+        _helper_threads().submit(
+            _apply_entries, state, entries, steps, chunks[i : i + share]
+        )
+        for i in range(share, len(chunks), share)
+    ]
     try:
-        _apply_entries(parts[0], entries, steps)
+        _apply_entries(state, entries, steps, chunks[:share])
     finally:
         # Wait for every helper, so that no chunk still changes once the
         # run returns or raises.
@@ -172,15 +176,15 @@ class Circuit:
     rewritten, such as gadget sub-circuits, never compile.
 
     On more than ``CHUNK_QUBITS`` qubits, a maximal run of entries below
-    qubit ``CHUNK_QUBITS`` runs over ``state.chunks(CHUNK_QUBITS)`` one
-    chunk at a time, with views taken at the chunk size; entries that
-    touch a higher qubit run on the whole register.  The chunks of a run
-    are split across min(chunks, usable cores // pool size) threads,
-    which join at the end of the run, so a pool worker on a machine with
-    no more cores than workers stays on one thread.  Every amplitude
-    sees the same multiplies in the same order either way.  An entry
-    that does not fit the register is refused here, before any state
-    is touched.
+    qubit ``CHUNK_QUBITS`` runs one chunk, a slab of 2**CHUNK_QUBITS
+    amplitudes, at a time: every entry of the run on one chunk before the
+    next.  Entries that touch a higher qubit run on the whole register.
+    The chunks of a run are split across min(chunks, usable cores //
+    pool size) threads, which join at the end of the run, so a pool
+    worker on a machine with no more cores than workers stays on one
+    thread.  Every amplitude sees the same multiplies in the same order
+    either way.  An entry that does not fit the register is refused
+    here, before any state is touched.
     """
 
     n_qubits: int
@@ -246,40 +250,31 @@ class Circuit:
         for start, stop, chunked in self._runs:
             entries, run_steps = self.rotations[start:stop], steps[start:stop]
             if chunked:
-                _apply_to_chunks(state.chunks(CHUNK_QUBITS), entries, run_steps)
+                _apply_to_chunks(state, entries, run_steps)
             else:
-                _apply_entries((state,), entries, run_steps)
+                _apply_entries(state, entries, run_steps, (None,))
 
     @functools.cached_property
     def _views(self) -> tuple:
-        """Per entry: the view its steps are made from, None for an iSWAP;
-        in a chunked run, the view of its string cut to the chunk."""
-        chunked = self._chunked
+        """Per entry: the view its steps are made from, None for an iSWAP."""
         return tuple(
-            None if iswap
-            else pauli_view(
-                PauliString(entry.pauli.letters[:CHUNK_QUBITS]) if cut else entry.pauli
-            )
-            for entry, iswap, cut in zip(self.rotations, self._iswaps.tolist(), chunked)
-        )
-
-    @functools.cached_property
-    def _chunked(self) -> tuple[bool, ...]:
-        """Per entry: whether it runs chunk by chunk."""
-        if self.n_qubits <= CHUNK_QUBITS:
-            return (False,) * len(self.rotations)
-        return tuple(
-            max(entry.qubits if iswap else entry.pauli.support(), default=0)
-            < CHUNK_QUBITS
+            None if iswap else pauli_view(entry.pauli)
             for entry, iswap in zip(self.rotations, self._iswaps.tolist())
         )
 
     @functools.cached_property
     def _runs(self) -> tuple[tuple[int, int, bool], ...]:
-        """(start, stop, chunked) of each maximal run of entries alike."""
+        """(start, stop, chunked) of each maximal run of entries alike; a
+        chunked run lies below qubit CHUNK_QUBITS of a larger register."""
+        cuts = (
+            self.n_qubits > CHUNK_QUBITS
+            and max(entry.qubits if iswap else entry.pauli.support(), default=0)
+            < CHUNK_QUBITS
+            for entry, iswap in zip(self.rotations, self._iswaps.tolist())
+        )
         runs = []
         start = 0
-        for chunked, group in itertools.groupby(self._chunked):
+        for chunked, group in itertools.groupby(cuts):
             stop = start + len(list(group))
             runs.append((start, stop, chunked))
             start = stop
@@ -588,9 +583,13 @@ def _operand(obj) -> tuple[int, np.ndarray | Circuit]:
         return dim.bit_length() - 1, obj
     if not hasattr(obj, "apply_to"):
         rotations = tuple(obj)
-        if not rotations:
-            raise ValueError("empty rotation list has no register size")
-        obj = Circuit(rotations[0].n_qubits, rotations)
+        sizes = [r.n_qubits for r in rotations if hasattr(r, "n_qubits")]
+        if not sizes:
+            raise ValueError(
+                "a rotation list without a PauliRotation has no register size; "
+                "pass a Circuit"
+            )
+        obj = Circuit(sizes[0], rotations)
     return obj.n_qubits, obj
 
 

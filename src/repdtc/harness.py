@@ -588,10 +588,11 @@ def _peak_bytes(config: ExperimentConfig) -> int:
     holds is no larger than a chunk of C = 2**CHUNK_QUBITS amplitudes,
     so none grows with the register or with the qubits read:
 
-    - A flip takes one complex temporary of what it runs on: a chunk, a
-      register of at most C amplitudes, or a slab of at most C.  A slab
-      spans at least the X/Y axes of its string, and every model and
-      lowering makes strings of at most two X/Y letters.  16 C bytes.
+    - A flip takes one complex temporary of what it runs on: a register
+      of at most C amplitudes, or a slab of at most C, of which a chunk
+      is one.  A slab spans at least the X/Y axes of its string, and
+      every model and lowering makes strings of at most two X/Y letters.
+      16 C bytes.
     - An iSWAP copies the |01> and |10> amplitudes of what it runs on,
       at most C / 2 of them, and takes two products of the copy.  24 C
       bytes, which cover the flip's.

@@ -12,14 +12,15 @@ an index array.  The amplitudes hold one state, shape ``(2**n,)``, or a
 block ``(B, 2**n)`` of one state per row, kept C-ordered: every gate
 acts on each row alike, while the readouts and norms refuse a block.  A
 compiled step carries its register size and a layout key; the state
-keeps the reshaped and flipped views of each layout it has run until
-``amplitudes`` is replaced by another array, and likewise the quarters
-of each iSWAP pair and its chunks: sub-registers over consecutive runs
-of amplitudes, on which a compiled circuit runs its gates below the
-chunk size one cache-sized chunk at a time, split across threads.  A
-flip or an iSWAP on a larger register runs in slabs of at most a
-chunk's size, each cut along axes the gate does not reverse, so no
-temporary is larger than a chunk.  A Z readout is a BLAS ``ddot`` per
+keeps the reshaped and flipped views of each layout it has run, and the
+quarters of each iSWAP pair, until ``amplitudes`` is replaced by another
+array.  On a register of more than 2**15 amplitudes it keeps with them
+one cut of each view into slabs of at most 2**15 amplitudes, along axes
+the gate does not reverse: a gate runs on one slab, or on each in turn,
+so no temporary is larger than a slab.  For a gate below qubit 15
+the slabs are the consecutive 2**15-amplitude chunks of the register,
+on which a compiled circuit runs its gates one cache-sized chunk at a
+time, split across threads.  A Z readout is a BLAS ``ddot`` per
 qubit; above 2**13 amplitudes it runs one 2**13-amplitude piece at a
 time, summed over the pieces in order with one table of 2**13-entry
 signs, so no BLAS thread wakes, the bytes do not depend on the BLAS
@@ -45,8 +46,8 @@ MAX_QUBITS = 24
 # fill half of a 2 MiB L2, where a 16-qubit register and its temporary
 # stream every gate from L3.  Chunks of 2**14 saved less (0.87x the
 # unchunked cycle time), and 2**13 less again.  A register of at most
-# 2**15 amplitudes is a single chunk.  A flip or an iSWAP on a larger
-# register runs in slabs of at most this many amplitudes.
+# 2**15 amplitudes is a single chunk.  Every gate on a larger register
+# runs in slabs of at most this many amplitudes.
 CHUNK_QUBITS = 15
 
 # A readout of more amplitudes than this sums one ``ddot`` per piece of
@@ -219,10 +220,10 @@ class StateVector:
             if amplitudes.ndim not in (1, 2) or amplitudes.shape[-1] != 1 << n_qubits:
                 raise ValueError("amplitude array has wrong shape")
         self.amplitudes = amplitudes
-        # By layout: (view, the same with its X/Y axes reversed or None);
-        # by ("iswap", a, b): the |01> and |10> quarters of the pair as one
-        # (2, ...) view; and
-        # by chunk size: the chunks, all taken of the array _viewed.
+        # By layout: (view, the same with its X/Y axes reversed or None,
+        # slabs or None); by ("iswap", a, b): (the |01> and |10> quarters
+        # of the pair as one (2, ...) view, slabs or None); all taken of
+        # the array _viewed.
         self._viewed = None
         self._views: dict = {}
 
@@ -257,11 +258,18 @@ class StateVector:
 
     # -- gate application ------------------------------------------------
 
-    def apply_rotation(self, rot: PauliRotation, step: tuple | None = None) -> None:
+    def apply_rotation(
+        self, rot: PauliRotation, step: tuple | None = None, part: int | None = None
+    ) -> None:
         """Apply exp(-i*theta*P) in place.
 
         ``step`` is ``pauli_view(P).step(theta)`` made ahead of time, as a
         compiled circuit does; without it the step is made here.
+        ``part=k`` applies the gate to slab k alone, for a string below
+        qubit CHUNK_QUBITS on a larger register: amplitudes [k * 2**15,
+        (k + 1) * 2**15) of the register, or of the block read row after
+        row.  That cut is of the leading axis alone, along which the
+        step's table is 1 long, so the table applies uncut.
         """
         if step is None:
             step = pauli_view(rot.pauli).step(rot.angle)
@@ -270,6 +278,10 @@ class StateVector:
             raise ValueError("rotation register size does not match state")
         views = self._views.get(layout) if self._viewed is self.amplitudes else None
         view, reversed_view, slabs = views or self._take_views(layout)
+        if part is not None:
+            slab, slabs = slabs[part], None
+            view = view[slab]
+            reversed_view = None if reversed_view is None else reversed_view[slab]
         if reversed_view is None:
             view *= table
         elif slabs is None:
@@ -287,53 +299,29 @@ class StateVector:
             cut = type(table) is np.ndarray
             tables = np.broadcast_to(table, view.shape) if cut else None
             for slab in slabs:
-                part = tables[slab] if cut else table
-                _flip(view[slab], reversed_view[slab], part, cos, order)
+                slab_table = tables[slab] if cut else table
+                _flip(view[slab], reversed_view[slab], slab_table, cos, order)
 
     def _take_views(self, layout: tuple) -> tuple:
-        """Take and keep the views of a step's layout, and a flip's slabs
-        of at most 2**CHUNK_QUBITS amplitudes on a larger register."""
+        """Take and keep the views of a step's layout, and their slabs of
+        at most 2**CHUNK_QUBITS amplitudes on a larger register."""
         self._own_views()
         shape, axes = layout
         view = self.amplitudes.reshape(shape)
-        if axes is None:
-            views = (view, None, None)
-        else:
-            slabs = None
-            if self.n_qubits > CHUNK_QUBITS:
-                slabs = _slabs(view.shape, axes, 1 << CHUNK_QUBITS)
-            views = (view, np.flip(view, axes), slabs)
+        slabs = None
+        if self.n_qubits > CHUNK_QUBITS:
+            slabs = _slabs(view.shape, axes or (), 1 << CHUNK_QUBITS)
+        views = (view, None if axes is None else np.flip(view, axes), slabs)
         self._views[layout] = views
         return views
 
     def _own_views(self) -> None:
-        """A replaced ``amplitudes`` drops the views and chunks of the old
-        array, and one that is not C-ordered is copied so that new views
-        write through."""
+        """A replaced ``amplitudes`` drops the views of the old array, and
+        one that is not C-ordered is copied so that new views write
+        through."""
         if self._viewed is not self.amplitudes:
             self.amplitudes = np.ascontiguousarray(self.amplitudes, np.complex128)
             self._viewed, self._views = self.amplitudes, {}
-
-    def chunks(self, n_qubits: int) -> tuple["StateVector", ...]:
-        """The register, or each row of a block, as consecutive registers
-        of ``n_qubits`` qubits that share its memory.
-
-        A gate on qubits below ``n_qubits`` acts on every chunk alike, as
-        on the whole register.  The chunks, with their own views, are kept
-        beside the views, keyed by ``n_qubits``, and dropped with them.
-        """
-        if not 0 < n_qubits <= self.n_qubits:
-            raise ValueError(
-                f"chunks of {n_qubits} qubits do not split a register of "
-                f"{self.n_qubits}"
-            )
-        chunks = self._views.get(n_qubits) if self._viewed is self.amplitudes else None
-        if chunks is None:
-            self._own_views()
-            rows = self.amplitudes.reshape(-1, 1 << n_qubits)
-            chunks = tuple(StateVector(n_qubits, row) for row in rows)
-            self._views[n_qubits] = chunks
-        return chunks
 
     def apply_single_qubit(self, qubit: int, matrix: np.ndarray) -> None:
         """Apply a 2x2 unitary on one qubit (basis |0>, |1> of that qubit)."""
@@ -378,19 +366,27 @@ class StateVector:
             blocks[r][...] = acc
 
     def apply_iswap(
-        self, qubit_a: int, qubit_b: int, *, angle: float = math.pi / 4
+        self,
+        qubit_a: int,
+        qubit_b: int,
+        *,
+        angle: float = math.pi / 4,
+        part: int | None = None,
     ) -> None:
         """Apply exp(-i*angle*(XX+YY)) on the pair.
 
         At angle pi/4 this is the iSWAP convention used throughout: |01> and
         |10> swap with a factor -i, |00> and |11> are untouched; -pi/4 is
-        its inverse.
+        its inverse.  ``part=k`` applies it to slab k alone, as in
+        ``apply_rotation``, for a pair below qubit CHUNK_QUBITS.
         """
         key = ("iswap", qubit_a, qubit_b)
         views = self._views.get(key) if self._viewed is self.amplitudes else None
         pair, slabs = views or self._take_pair_view(key)
         coefs = np.array([math.cos(2 * angle), 1j * math.sin(2 * angle)])
         coefs = coefs[:, None, None, None, None]
+        if part is not None:
+            pair, slabs = pair[slabs[part]], None
         if slabs is None:
             _iswap(pair, coefs)
         else:
@@ -425,9 +421,6 @@ class StateVector:
         return pair, slabs
 
     # -- measurement -----------------------------------------------------
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
     def expectation_z(self, qubit: int) -> float:
         """<Z_qubit>: bit value 0 counts as +1."""

@@ -526,25 +526,62 @@ class TestCircuitRegister:
         with pytest.raises(ValueError, match=f"entry 1 .*{problem}"):
             Circuit(3, (x0, entry))
 
-    def test_chunked_layouts_match_the_register_layouts(self):
+    @pytest.mark.parametrize("n, rows", [(16, None), (17, 2)])
+    def test_slabs_of_chunked_entries_are_chunks(self, n, rows):
+        # fig4-analog's period, widened to n qubits: slab k of every
+        # chunked entry's view holds amplitudes [k * C, (k + 1) * C) of
+        # the register or block, and cuts no axis its step table spans.
         config = PRESETS["fig4-analog"]
-        _, circuit = harness._build_realization(config, SeedPlan(config.seed), 0)
-        assert circuit.n_qubits > CHUNK_QUBITS
-        assert len(circuit._runs) > 2
-        chunked = 0
-        for entry, cut, view in zip(circuit.rotations, circuit._chunked, circuit._views):
-            if view is None:
+        _, fig4 = harness._build_realization(config, SeedPlan(config.seed), 0)
+        pad = ("I",) * (n - fig4.n_qubits)
+        circuit = Circuit(
+            n,
+            tuple(
+                entry if isinstance(entry, ISwapRotation)
+                else PauliRotation(PauliString(entry.pauli.letters + pad), entry.angle)
+                for entry in fig4.rotations
+            ),
+        )
+        shape = (1 << n,) if rows is None else (rows, 1 << n)
+        index = np.arange(math.prod(shape))
+        state = StateVector(n, index.reshape(shape).astype(complex))
+        chunk = 1 << CHUNK_QUBITS
+        chunks = [index[k : k + chunk] for k in range(0, index.size, chunk)]
+        chunked = [
+            entry
+            for start, stop, cut in circuit._runs
+            if cut
+            for entry in circuit.rotations[start:stop]
+        ]
+        assert 0 < len(chunked) < len(circuit)
+        for entry in chunked:
+            if isinstance(entry, ISwapRotation):
+                a, b = entry.qubits
+                pair, slabs = state._take_pair_view(("iswap", a, b))
+                for slab, want in zip(slabs, chunks, strict=True):
+                    apart = ((want >> a) & 1) != ((want >> b) & 1)
+                    got = np.sort(pair[slab].real.ravel())
+                    assert np.array_equal(got, want[apart])
                 continue
-            assert view.n_qubits == (CHUNK_QUBITS if cut else circuit.n_qubits)
-            assert view.layout == pauli_view(entry.pauli).layout
-            chunked += cut
-        assert 0 < chunked < len(circuit)
+            _, layout, table, _, _ = pauli_view(entry.pauli).step(entry.angle)
+            view, _, slabs = state._take_views(layout)
+            for slab, want in zip(slabs, chunks, strict=True):
+                assert np.array_equal(view[slab].real.ravel(), want)
+                for axis, cut in enumerate(slab):
+                    if cut != slice(None):
+                        assert np.ndim(table) == 0 or table.shape[axis] == 1
 
-    @pytest.mark.parametrize("cores, pool", [(3, 1), (8, 2), (2, 2)])
-    def test_chunk_threads_match_one_thread(self, monkeypatch, rng, cores, pool):
+    @pytest.mark.parametrize(
+        "cores, pool, rows",
+        [(3, 1, None), (8, 2, None), (2, 2, None), (8, 1, 2)],
+        ids=["3-1", "8-2", "2-2", "8-1-replaced-block"],
+    )
+    def test_chunk_threads_match_one_thread(self, monkeypatch, rng, cores, pool, rows):
         # 17 qubits are four chunks: split over two or four threads (more
         # than this machine may have), or one thread when the pool takes
-        # every core.
+        # every core.  A block of two is eight chunks on four threads, of
+        # amplitudes just replaced by a Fortran-ordered array, which the
+        # state copies before any thread writes.
         n = CHUNK_QUBITS + 2
         rotations = (
             PauliRotation(PauliString.from_ops(n, {0: "Z", 3: "X"}), 0.3),
@@ -552,7 +589,8 @@ class TestCircuitRegister:
             PauliRotation(PauliString.from_ops(n, {2: "Y", n - 1: "X"}), 0.7),
             PauliRotation(PauliString.from_ops(n, {1: "Z", 5: "Y"}), -0.4),
         )
-        start = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        shape = (1 << n,) if rows is None else (rows, 1 << n)
+        start = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         want = StateVector(n, start.copy())
         for rot in rotations:
             if isinstance(rot, ISwapRotation):
@@ -561,7 +599,11 @@ class TestCircuitRegister:
                 want.apply_rotation(rot)
         monkeypatch.setattr(compiler, "usable_cores", lambda: cores)
         monkeypatch.setattr(compiler, "_pool_size", pool)
-        state = StateVector(n, start)
+        state = StateVector(n, start if rows is None else np.zeros(shape, complex))
+        if rows is not None:
+            # The state keeps views of its zeros, then loses the array.
+            Circuit(n, rotations).apply_to(state)
+            state.amplitudes = np.asfortranarray(start)
         # Threads switch as often as the interpreter allows.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -697,6 +739,18 @@ class TestVerifyEquivalence:
             verify_equivalence(rotation, other)
         with pytest.raises(ValueError, match="register sizes differ"):
             verify_equivalence(np.eye(4), other)
+
+    def test_rotation_list_takes_its_size_from_a_pauli_rotation(self):
+        n = 3
+        iswap = ISwapRotation((0, 1), QUARTER)
+        rz = PauliRotation(PauliString.from_ops(n, {2: "Z"}), 0.3)
+        dense = dense_rotation(n, {2: "Z"}, 0.3) @ dense_iswap(n, 0, 1)
+        assert verify_equivalence([iswap, rz], dense) < 1e-12
+
+    @pytest.mark.parametrize("entries", [[], [ISwapRotation((0, 1), QUARTER)]])
+    def test_rotation_list_without_a_size_asks_for_a_circuit(self, entries):
+        with pytest.raises(ValueError, match="pass a Circuit"):
+            verify_equivalence(entries, np.eye(4))
 
     def test_refuses_large_register(self):
         layout = ChainLayout(2, 7)

@@ -360,21 +360,6 @@ class TestStepViews:
         circuit.apply_to(fresh)
         assert np.array_equal(other.amplitudes, fresh.amplitudes)
 
-    def test_chunks_share_memory_until_amplitudes_are_replaced(self, rng):
-        n = 5
-        state = StateVector(n, rng.normal(size=(2, 1 << n)) + 0j)
-        chunks = state.chunks(3)
-        assert len(chunks) == 8 and state.chunks(3) is chunks
-        chunks[5].amplitudes[1] = 7.0
-        assert state.amplitudes[1, 8 + 1] == 7.0
-        state.amplitudes = np.asfortranarray(state.amplitudes)
-        again = state.chunks(3)
-        assert again is not chunks
-        again[5].amplitudes[1] = 9.0
-        assert state.amplitudes[1, 8 + 1] == 9.0
-        with pytest.raises(ValueError, match="chunks"):
-            state.chunks(n + 1)
-
     def test_step_for_another_register_size_is_refused(self):
         n = 3
         rot = PauliRotation(PauliString.from_ops(n, {0: "Z", 2: "X"}), 0.4)
@@ -504,7 +489,7 @@ class TestMeasurement:
     @pytest.mark.parametrize("n", [1, 8, 13])
     def test_readout_of_one_piece_is_one_dot(self, rng, n):
         s = random_state(rng, n)
-        probs = s.probabilities()
+        probs = np.abs(s.amplitudes) ** 2
         for q, value in enumerate(s.expectation_z_all()):
             z = 1.0 - 2.0 * ((np.arange(1 << n) >> q) & 1)
             assert value == probs.dot(z) == s.expectation_z(q)
@@ -575,7 +560,3 @@ class TestMeasurement:
         a = s.sample_z(0, 100, np.random.default_rng(9))
         b = s.sample_z(0, 100, np.random.default_rng(9))
         assert a == b
-
-    def test_probabilities_sum_to_one(self, rng):
-        s = random_state(rng, 3)
-        assert s.probabilities().sum() == pytest.approx(1.0)
