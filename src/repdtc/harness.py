@@ -600,8 +600,10 @@ def _peak_bytes(config: ExperimentConfig) -> int:
       are at most min(chunks, usable cores) threads; entries on the
       whole register run on the calling thread alone.
     - A Z readout holds |psi|**2 of one piece of 2**13 amplitudes (or of
-      a smaller register) and the sign table, 14 vectors of at most
-      2**13 entries.  15 * 2**13 float64s.
+      a smaller register) and the sign vectors of the qubits read so
+      far: one of at most 2**13 entries per qubit below 13, whose first
+      entries serve the qubits from 13 up, and the ones vector.  At most
+      14 vectors whatever is read, so 15 * 2**13 float64s bound it.
     """
     chunks = 1 << max(0, config.n_qubits - CHUNK_QUBITS)
     threads = min(chunks, usable_cores())

@@ -22,9 +22,11 @@ the slabs are the consecutive 2**15-amplitude chunks of the register,
 on which a compiled circuit runs its gates one cache-sized chunk at a
 time, split across threads.  A Z readout is a BLAS ``ddot`` per
 qubit; above 2**13 amplitudes it runs one 2**13-amplitude piece at a
-time, summed over the pieces in order with one table of 2**13-entry
-signs, so no BLAS thread wakes, the bytes do not depend on the BLAS
-thread count and no array is as long as the register.
+time, summed over the pieces in order, so no BLAS thread wakes, the
+bytes do not depend on the BLAS thread count and no array is as long
+as the register.  Each qubit's +-1 vector, of at most 2**13 entries,
+is built when a readout first reads it: reading one qubit of a large
+register builds one vector, not fourteen.
 """
 
 from __future__ import annotations
@@ -60,11 +62,17 @@ _READOUT_PIECE = 1 << _PIECE_QUBITS
 
 
 @functools.lru_cache(maxsize=None)
+def _z_sign(bits: int, qubit: int) -> np.ndarray:
+    """(-1)**(bit ``qubit`` of i) for i < 2**bits, ones when ``qubit`` is
+    ``bits``: an operand of the Z readout's ``ddot``, built when a readout
+    first reads it."""
+    return 1.0 - 2.0 * ((np.arange(1 << bits) >> qubit) & 1)
+
+
+@functools.lru_cache(maxsize=None)
 def _z_signs(bits: int) -> tuple[np.ndarray, ...]:
-    """Vector q < ``bits`` holds (-1)**(bit q of i) for i < 2**bits, and
-    vector ``bits`` ones: the operands of the Z readout's ``ddot``."""
-    index = np.arange(1 << bits)
-    return tuple(1.0 - 2.0 * ((index >> q) & 1) for q in range(bits + 1))
+    """The sign vectors of all ``bits`` qubits of a one-piece register."""
+    return tuple(_z_sign(bits, q) for q in range(bits))
 
 
 def _slabs(shape: tuple, kept: tuple, limit: int) -> tuple | None:
@@ -426,34 +434,39 @@ class StateVector:
         """<Z_qubit>: bit value 0 counts as +1."""
         self._check_one_state()
         self._check_qubit(qubit)
-        return float(self._z_sums(slice(qubit, qubit + 1))[0])
+        amps = self.amplitudes
+        if amps.size <= _READOUT_PIECE:
+            return float((np.abs(amps) ** 2).dot(_z_sign(self.n_qubits, qubit)))
+        return float(self._z_sums((qubit,))[0])
 
     def expectation_z_all(self) -> np.ndarray:
         self._check_one_state()
-        return np.array(self._z_sums(slice(0, self.n_qubits)))
-
-    def _z_sums(self, qubits: slice):
-        """<Z_q> for the qubits q in the ``qubits`` slice of the register:
-        |psi|**2 dotted with the signs of q, or above 2**13 amplitudes,
-        the sum from 0, in order, of one such ``ddot`` per 2**13-amplitude
-        piece."""
         amps = self.amplitudes
         if amps.size <= _READOUT_PIECE:
             # ndarray.dot runs the ddot of np.dot without its
             # __array_function__ dispatch, about a quarter of an 8-qubit
             # readout.
             probs = np.abs(amps) ** 2
-            return [probs.dot(z) for z in _z_signs(self.n_qubits)[qubits]]
-        qubits = range(self.n_qubits)[qubits]
-        signs = _z_signs(_PIECE_QUBITS)
-        low = [signs[q] for q in qubits if q < _PIECE_QUBITS]
+            return np.array([probs.dot(z) for z in _z_signs(self.n_qubits)])
+        return self._z_sums(range(self.n_qubits))
+
+    def _z_sums(self, qubits) -> np.ndarray:
+        """<Z_q> for the ``qubits`` q, in increasing order, of a register of
+        more than 2**13 amplitudes: the sum from 0, in order, of one
+        ``ddot`` per 2**13-amplitude piece of |psi|**2 with the signs of q.
+        Only the sign vectors of those qubits are fetched."""
+        amps = self.amplitudes
+        low = [_z_sign(_PIECE_QUBITS, q) for q in qubits if q < _PIECE_QUBITS]
         # The sign of qubit 13 + j is constant on a piece: on piece k it
-        # is (-1)**(bit j of k), signs[j][k], times the piece's dot with
-        # ones.  Row k of ``high`` holds those of piece k.
+        # is (-1)**(bit j of k), entry k of qubit j's vector, times the
+        # piece's dot with ones.  Row k of ``high`` holds those of piece k.
         pieces = amps.size >> _PIECE_QUBITS
-        high = [signs[q - _PIECE_QUBITS][:pieces] for q in qubits[len(low) :]]
+        high = [
+            _z_sign(_PIECE_QUBITS, q - _PIECE_QUBITS)[:pieces]
+            for q in qubits[len(low) :]
+        ]
         high = np.array(high).T if high else None
-        ones = signs[_PIECE_QUBITS]
+        ones = None if high is None else _z_sign(_PIECE_QUBITS, _PIECE_QUBITS)
         sums = np.zeros(len(qubits))
         dots = np.empty_like(sums)
         probs = np.empty(_READOUT_PIECE)

@@ -1,9 +1,11 @@
-"""The summary and claim rule of tools/bench_pairs.py, on synthetic pairs.
+"""The summary, claim rule and output reading of tools/bench_pairs.py, on
+synthetic pairs and run.py lines.
 
 Every BENCH_*.json is written by this code; no test here runs perfbench.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -92,3 +94,33 @@ def test_held_out_seed_is_reported_not_required():
     claim = claim_of(values, held=(9.0, 9.5))
     assert claim["met"] is True
     assert claim["held_out_change_lower"] is False
+
+
+def test_timed_run_keeps_each_workloads_rss_and_series_deviation():
+    report = {
+        "workload": "native-16q",
+        "seed": 3,
+        "env": {"cores": 2},
+        "series_max_dev": 0.0,
+        "rss_mib": {"self": 40.5, "children": 12.25, "peak": 40.5},
+    }
+    result = {
+        "correct": True,
+        "attempted": 9,
+        "failed": 0,
+        "metrics": {"native-16q.peak_rss_mib": {"value": 40.5, "unit": "MiB"}},
+    }
+    stdout = "== native-16q (seed 3)\nreport " + json.dumps(report) + "\n"
+    stdout += json.dumps(result) + "\n"
+    run = bench_pairs._parse(stdout, 0, trace=0)
+    assert run["metrics"] == {"native-16q.peak_rss_mib": 40.5}
+    assert run["rss_mib"] == {"native-16q": {"self": 40.5, "children": 12.25}}
+    assert run["series_max_dev"] == {"native-16q": 0.0}
+    assert run["env"] == {"cores": 2}
+    traced = bench_pairs._parse(stdout, 0, trace=1)
+    assert "rss_mib" not in traced and "series_max_dev" not in traced
+
+
+def test_failed_run_is_not_correct():
+    run = bench_pairs._parse("", 1, trace=0)
+    assert run["correct"] is False and run["exit"] == 1

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repdtc import PauliRotation, PauliString, StateVector
+from repdtc import PauliRotation, PauliString, StateVector, statevector
 from repdtc.compiler import Circuit
 from repdtc.statevector import CHUNK_QUBITS, MAX_QUBITS, pauli_view
 
@@ -20,6 +20,22 @@ def random_state(rng, n):
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
     return StateVector(n, amps)
+
+
+def piece_sums_in_order(state):
+    """<Z_q> of every qubit, read with one register-sized +-1 vector per
+    qubit: ndarray.dot of consecutive 2**13-amplitude pieces, summed from
+    0 in order."""
+    size, piece = state.amplitudes.size, 1 << 13
+    probs = np.abs(state.amplitudes) ** 2
+    want = []
+    for q in range(state.n_qubits):
+        z = 1.0 - 2.0 * ((np.arange(size) >> q) & 1)
+        total = 0
+        for start in range(0, size, piece):
+            total += probs[start : start + piece].dot(z[start : start + piece])
+        want.append(total)
+    return np.array(want)
 
 
 class TestConstruction:
@@ -498,10 +514,8 @@ class TestMeasurement:
     @pytest.mark.parametrize("kind", ["random", "basis", "sparse"])
     def test_large_readout_sums_its_pieces_in_order(self, rng, n, kind):
         # Every piece stays below OpenBLAS's threading cutoff, so the bytes
-        # do not depend on the BLAS thread count.  The reference reads
-        # with one register-sized +-1 vector per qubit: ndarray.dot of
-        # consecutive 2**13-amplitude pieces, summed from 0 in order.
-        size, piece = 1 << n, 1 << 13
+        # do not depend on the BLAS thread count.
+        size = 1 << n
         amps = np.zeros(size, dtype=complex)
         if kind == "random":
             amps[:] = rng.normal(size=size) + 1j * rng.normal(size=size)
@@ -511,15 +525,7 @@ class TestMeasurement:
             where = rng.choice(size, size=50, replace=False)
             amps[where] = rng.normal(size=50) + 1j * rng.normal(size=50)
         s = StateVector(n, amps / np.linalg.norm(amps))
-        probs = np.abs(s.amplitudes) ** 2
-        want = []
-        for q in range(n):
-            z = 1.0 - 2.0 * ((np.arange(size) >> q) & 1)
-            total = 0
-            for start in range(0, size, piece):
-                total += probs[start : start + piece].dot(z[start : start + piece])
-            want.append(total)
-        want = np.array(want)
+        want = piece_sums_in_order(s)
         assert np.array_equal(s.expectation_z_all().view(np.uint64), want.view(np.uint64))
         for q in range(n):
             assert np.float64(s.expectation_z(q)).tobytes() == want[q].tobytes()
@@ -529,6 +535,22 @@ class TestMeasurement:
             hits = int(np.random.default_rng(q).binomial(333, p_plus))
             got = s.sample_z(q, 333, np.random.default_rng(q))
             assert got == (2 * hits - 333) / 333
+
+    def test_first_readout_builds_only_the_signs_it_reads(self, rng):
+        # A table of all 14 sign vectors of 2**13 entries would be 0.88 MiB.
+        statevector._z_sign.cache_clear()
+        statevector._z_signs.cache_clear()
+        s = random_state(rng, 16)
+        tracemalloc.start()
+        try:
+            s.expectation_z(8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 << 10
+        want = piece_sums_in_order(s)
+        assert np.array_equal(s.expectation_z_all().view(np.uint64), want.view(np.uint64))
+        assert np.float64(s.expectation_z(8)).tobytes() == want[8].tobytes()
 
     def test_large_readout_keeps_no_register_sized_array(self, rng):
         s = random_state(rng, 18)

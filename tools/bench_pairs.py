@@ -13,7 +13,10 @@ held-out seed runs one more pair at the end, and ``--traced-pairs`` runs
 that many ``--trace 1`` pairs at seed 0 in alternating order.  The summary
 gives, per end-to-end metric of BENCHMARK.json, both sides' quartiles over
 the pairs, the pairs in which the change was lower, and whether the
-medians differ by more than the parent's interquartile range.
+medians differ by more than the parent's interquartile range.  Each
+timed run also keeps, per workload, its series deviation and the peak RSS
+of run.py's measuring process and of its pool workers, so a
+``peak_rss_mib`` figure shows which of them set it.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ def _copy(rev: str | None, dest: Path) -> None:
 
 
 def _run(rev: str | None, seed: int, trace: int, workdir: Path) -> dict:
-    """One run.py invocation in a fresh copy: its result, series deviations
-    and environment."""
+    """One run.py invocation in a fresh copy: its result, series deviations,
+    peak RSS and environment."""
     copy = Path(tempfile.mkdtemp(dir=workdir))
     try:
         _copy(rev, copy / "repo")
@@ -66,10 +69,18 @@ def _run(rev: str | None, seed: int, trace: int, workdir: Path) -> dict:
         )
     finally:
         shutil.rmtree(copy)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    return _parse(proc.stdout, proc.returncode, trace)
+
+
+def _parse(stdout: str, returncode: int, trace: int) -> dict:
+    """One run's result from run.py's output: its last line, and from the
+    ``report`` lines of a timed run each workload's series deviation and
+    peak RSS of the measuring process (``self``) and of its pool workers
+    (``children``), of which ``peak_rss_mib`` is the larger."""
+    lines = stdout.strip().splitlines()
+    if returncode != 0 or not lines:
         return {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
-                "exit": proc.returncode}
+                "exit": returncode}
     result = json.loads(lines[-1])
     reports = [json.loads(line[7:]) for line in lines if line.startswith("report ")]
     out = {
@@ -80,6 +91,10 @@ def _run(rev: str | None, seed: int, trace: int, workdir: Path) -> dict:
     }
     if not trace:
         out["series_max_dev"] = {r["workload"]: r["series_max_dev"] for r in reports}
+        out["rss_mib"] = {
+            r["workload"]: {k: r["rss_mib"][k] for k in ("self", "children")}
+            for r in reports
+        }
     out["env"] = reports[0]["env"] if reports else None
     return out
 
