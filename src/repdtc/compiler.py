@@ -123,13 +123,11 @@ def _apply_to_chunks(state, entries, steps) -> None:
     The caller's thread takes the first share of consecutive chunks and
     helper threads the others; the call returns when all have finished.
     Chunks are disjoint, so each amplitude sees the same operations in
-    the same order as on one thread.
+    the same order as on one thread, through views of the state's one
+    array, which is never rebound, so no thread writes to a stale view.
     """
     chunks = range(state.amplitudes.size >> CHUNK_QUBITS)
     share = -(-len(chunks) // max(1, usable_cores() // _pool_size))
-    # Before any helper starts, so that none copies a replaced amplitude
-    # array while this thread writes to it.
-    state._own_views()
     futures = [
         _helper_threads().submit(
             _apply_entries, state, entries, steps, chunks[i : i + share]
@@ -230,7 +228,7 @@ class Circuit:
                 f"circuit register size {self.n_qubits} does not match a "
                 f"state of {state.n_qubits} qubits"
             )
-        if single_error < 0.0 or iswap_error < 0.0:
+        if not (single_error >= 0.0 and iswap_error >= 0.0):  # NaN is refused too
             raise ValueError("noise half-widths must be nonnegative")
         if single_error > 0.0 or iswap_error > 0.0:
             if rng is None:
@@ -600,9 +598,8 @@ def _unitary_rows(operand: np.ndarray | Circuit, n: int) -> np.ndarray:
     rows = np.eye(1 << n, dtype=np.complex128)
     step = _BLOCK_AMPLITUDES >> n
     for start in range(0, 1 << n, step):
-        state = StateVector(n, rows[start : start + step])
-        operand.apply_to(state)
-        rows[start : start + step] = state.amplitudes
+        # The state holds the slice itself, so the operand evolves the rows.
+        operand.apply_to(StateVector(n, rows[start : start + step]))
     return rows
 
 

@@ -145,7 +145,7 @@ def _boolean(text: str) -> bool:
     # a run from a preset reads no config file.
     import configparser
 
-    return configparser.ConfigParser.BOOLEAN_STATES[text]
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
 
 
 def _within(low, high, rule: str = "") -> tuple:
@@ -179,7 +179,10 @@ _SHOTS = f"must be positive (or omitted for exact) and at most {_COUNT_MAX:g}"
 CONFIG_KEYS: dict[str, ConfigKey] = {
     key.field: key
     for key in (
-        ConfigKey("experiment.name", "name", *_TEXT, default=lambda p: Path(p).stem),
+        # A line break would end a CSV header line early.
+        ConfigKey("experiment.name", "name", *_TEXT,
+                  lambda name: len(f"{name}\n".splitlines()) == 1, "must be one line",
+                  default=lambda p: Path(p).stem),
         ConfigKey("experiment.model", "model", *_TEXT, *_one_of(*MODEL_SPECS)),
         ConfigKey("experiment.chains", "chains", *_INT, *_within(1, MAX_QUBITS // 2)),
         ConfigKey("experiment.sites", "sites", *_INT, *_within(2, MAX_QUBITS)),

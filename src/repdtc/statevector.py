@@ -13,9 +13,10 @@ block ``(B, 2**n)`` of one state per row, kept C-ordered: every gate
 acts on each row alike, while the readouts and norms refuse a block.  A
 compiled step carries its register size and a layout key; the state
 keeps the reshaped and flipped views of each layout it has run, and the
-quarters of each iSWAP pair, until ``amplitudes`` is replaced by another
-array.  On a register of more than 2**15 amplitudes it keeps with them
-one cut of each view into slabs of at most 2**15 amplitudes, along axes
+quarters of each iSWAP pair, of the one array it holds for its life:
+``amplitudes`` is written in place, never rebound.  On a register of
+more than 2**15 amplitudes it keeps with them one cut of each view into
+slabs of at most 2**15 amplitudes, along axes
 the gate does not reverse: a gate runs on one slab, or on each in turn,
 so no temporary is larger than a slab.  For a gate below qubit 15
 the slabs are the consecutive 2**15-amplitude chunks of the register,
@@ -209,7 +210,7 @@ pauli_view = functools.lru_cache(maxsize=4096)(PauliView)
 class StateVector:
     """A 2**n_qubits complex amplitude vector with gate application."""
 
-    __slots__ = ("n_qubits", "amplitudes", "_viewed", "_views")
+    __slots__ = ("n_qubits", "_amplitudes", "_views")
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray | None = None):
         if n_qubits < 1:
@@ -220,6 +221,8 @@ class StateVector:
                 f"of {MAX_QUBITS}"
             )
         self.n_qubits = n_qubits
+        # A C-ordered complex128 array of the right shape is kept itself,
+        # not copied; anything else is copied once into C order.
         if amplitudes is None:
             amplitudes = np.zeros(1 << n_qubits, dtype=np.complex128)
             amplitudes[0] = 1.0
@@ -227,13 +230,21 @@ class StateVector:
             amplitudes = np.ascontiguousarray(amplitudes, dtype=np.complex128)
             if amplitudes.ndim not in (1, 2) or amplitudes.shape[-1] != 1 << n_qubits:
                 raise ValueError("amplitude array has wrong shape")
-        self.amplitudes = amplitudes
+        self._amplitudes = amplitudes
         # By layout: (view, the same with its X/Y axes reversed or None,
         # slabs or None); by ("iswap", a, b): (the |01> and |10> quarters
-        # of the pair as one (2, ...) view, slabs or None); all taken of
-        # the array _viewed.
-        self._viewed = None
+        # of the pair as one (2, ...) view, slabs or None).
         self._views: dict = {}
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The state's one array, written in place (``*=`` too), never rebound."""
+        return self._amplitudes
+
+    @amplitudes.setter
+    def amplitudes(self, array: np.ndarray) -> None:
+        if array is not self._amplitudes:
+            raise AttributeError("amplitudes are written in place, never rebound")
 
     @classmethod
     def basis_state(cls, n_qubits: int, index: int = 0) -> "StateVector":
@@ -246,20 +257,20 @@ class StateVector:
         return state
 
     def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
+        return StateVector(self.n_qubits, self._amplitudes.copy())
 
     def __reduce__(self):
         # Pickled or deep-copied views would be copies, not views.
-        return StateVector, (self.n_qubits, self.amplitudes)
+        return StateVector, (self.n_qubits, self._amplitudes)
 
     def norm(self) -> float:
         self._check_one_state()
-        return float(np.linalg.norm(self.amplitudes))
+        return float(np.linalg.norm(self._amplitudes))
 
     def inner(self, other: "StateVector") -> complex:
         self._check_one_state()
         other._check_one_state()
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        return complex(np.vdot(self._amplitudes, other.amplitudes))
 
     def fidelity(self, other: "StateVector") -> float:
         return abs(self.inner(other)) ** 2
@@ -284,8 +295,7 @@ class StateVector:
         n, layout, table, cos, order = step
         if n != self.n_qubits:
             raise ValueError("rotation register size does not match state")
-        views = self._views.get(layout) if self._viewed is self.amplitudes else None
-        view, reversed_view, slabs = views or self._take_views(layout)
+        view, reversed_view, slabs = self._views.get(layout) or self._take_views(layout)
         if part is not None:
             slab, slabs = slabs[part], None
             view = view[slab]
@@ -313,9 +323,8 @@ class StateVector:
     def _take_views(self, layout: tuple) -> tuple:
         """Take and keep the views of a step's layout, and their slabs of
         at most 2**CHUNK_QUBITS amplitudes on a larger register."""
-        self._own_views()
         shape, axes = layout
-        view = self.amplitudes.reshape(shape)
+        view = self._amplitudes.reshape(shape)
         slabs = None
         if self.n_qubits > CHUNK_QUBITS:
             slabs = _slabs(view.shape, axes or (), 1 << CHUNK_QUBITS)
@@ -323,21 +332,13 @@ class StateVector:
         self._views[layout] = views
         return views
 
-    def _own_views(self) -> None:
-        """A replaced ``amplitudes`` drops the views of the old array, and
-        one that is not C-ordered is copied so that new views write
-        through."""
-        if self._viewed is not self.amplitudes:
-            self.amplitudes = np.ascontiguousarray(self.amplitudes, np.complex128)
-            self._viewed, self._views = self.amplitudes, {}
-
     def apply_single_qubit(self, qubit: int, matrix: np.ndarray) -> None:
         """Apply a 2x2 unitary on one qubit (basis |0>, |1> of that qubit)."""
         self._check_qubit(qubit)
         m = np.asarray(matrix, dtype=np.complex128)
         if m.shape != (2, 2):
             raise ValueError("single-qubit matrix must be 2x2")
-        view = self.amplitudes.reshape(-1, 2, 1 << qubit)
+        view = self._amplitudes.reshape(-1, 2, 1 << qubit)
         a = view[:, 0, :].copy()
         b = view[:, 1, :]
         view[:, 0, :] = m[0, 0] * a + m[0, 1] * b
@@ -357,7 +358,7 @@ class StateVector:
         if m.shape != (4, 4):
             raise ValueError("two-qubit matrix must be 4x4")
         hi, lo = max(qubit_a, qubit_b), min(qubit_a, qubit_b)
-        view = self.amplitudes.reshape(
+        view = self._amplitudes.reshape(
             -1, 2, 1 << (hi - lo - 1), 2, 1 << lo
         )
         # blocks[m] with m = b_a + 2*b_b
@@ -389,8 +390,7 @@ class StateVector:
         ``apply_rotation``, for a pair below qubit CHUNK_QUBITS.
         """
         key = ("iswap", qubit_a, qubit_b)
-        views = self._views.get(key) if self._viewed is self.amplitudes else None
-        pair, slabs = views or self._take_pair_view(key)
+        pair, slabs = self._views.get(key) or self._take_pair_view(key)
         coefs = np.array([math.cos(2 * angle), 1j * math.sin(2 * angle)])
         coefs = coefs[:, None, None, None, None]
         if part is not None:
@@ -410,9 +410,8 @@ class StateVector:
         self._check_qubit(qubit_b)
         if qubit_a == qubit_b:
             raise ValueError("iSWAP needs distinct qubits")
-        self._own_views()
         hi, lo = max(qubit_a, qubit_b), min(qubit_a, qubit_b)
-        view = self.amplitudes.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+        view = self._amplitudes.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
         rows, _, middle, _, low = view.shape
         row_step, hi_step, middle_step, lo_step, low_step = view.strides
         # |10> sits one step up qubit hi and one step down qubit lo from |01>.
@@ -434,14 +433,14 @@ class StateVector:
         """<Z_qubit>: bit value 0 counts as +1."""
         self._check_one_state()
         self._check_qubit(qubit)
-        amps = self.amplitudes
+        amps = self._amplitudes
         if amps.size <= _READOUT_PIECE:
             return float((np.abs(amps) ** 2).dot(_z_sign(self.n_qubits, qubit)))
         return float(self._z_sums((qubit,))[0])
 
     def expectation_z_all(self) -> np.ndarray:
         self._check_one_state()
-        amps = self.amplitudes
+        amps = self._amplitudes
         if amps.size <= _READOUT_PIECE:
             # ndarray.dot runs the ddot of np.dot without its
             # __array_function__ dispatch, about a quarter of an 8-qubit
@@ -455,7 +454,7 @@ class StateVector:
         more than 2**13 amplitudes: the sum from 0, in order, of one
         ``ddot`` per 2**13-amplitude piece of |psi|**2 with the signs of q.
         Only the sign vectors of those qubits are fetched."""
-        amps = self.amplitudes
+        amps = self._amplitudes
         low = [_z_sign(_PIECE_QUBITS, q) for q in qubits if q < _PIECE_QUBITS]
         # The sign of qubit 13 + j is constant on a piece: on piece k it
         # is (-1)**(bit j of k), entry k of qubit j's vector, times the
@@ -495,8 +494,8 @@ class StateVector:
         return (2 * hits - shots) / shots
 
     def _check_one_state(self) -> None:
-        if self.amplitudes.ndim != 1:
-            shape = self.amplitudes.shape
+        if self._amplitudes.ndim != 1:
+            shape = self._amplitudes.shape
             raise ValueError(f"readouts and norms need one state, not a block {shape}")
 
     def _check_qubit(self, q: int) -> None:

@@ -124,3 +124,16 @@ def test_timed_run_keeps_each_workloads_rss_and_series_deviation():
 def test_failed_run_is_not_correct():
     run = bench_pairs._parse("", 1, trace=0)
     assert run["correct"] is False and run["exit"] == 1
+
+
+def test_src_lines_count_newlines_of_python_files_under_src(tmp_path):
+    files = {
+        "src/a.py": "one\ntwo\n",
+        "src/pkg/b.py": "three\nno newline at the end",
+        "src/pkg/notes.txt": "not\npython\n",
+        "tools/c.py": "outside src\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert bench_pairs._src_lines(tmp_path) == 3

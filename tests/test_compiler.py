@@ -482,7 +482,13 @@ class TestNativeNoise:
             circuit.apply_to(StateVector(1), single_error=0.01)
 
     @pytest.mark.parametrize(
-        "widths", [{"single_error": -0.01}, {"iswap_error": -0.01}]
+        "widths",
+        [
+            {"single_error": -0.01},
+            {"iswap_error": -0.01},
+            {"single_error": math.nan},
+            {"iswap_error": math.nan},
+        ],
     )
     def test_negative_noise_width_is_refused(self, widths):
         rx = PauliRotation(PauliString.from_ops(2, {0: "X"}), 0.3)
@@ -574,14 +580,13 @@ class TestCircuitRegister:
     @pytest.mark.parametrize(
         "cores, pool, rows",
         [(3, 1, None), (8, 2, None), (2, 2, None), (8, 1, 2)],
-        ids=["3-1", "8-2", "2-2", "8-1-replaced-block"],
+        ids=["3-1", "8-2", "2-2", "8-1-block-written-in-place"],
     )
     def test_chunk_threads_match_one_thread(self, monkeypatch, rng, cores, pool, rows):
         # 17 qubits are four chunks: split over two or four threads (more
         # than this machine may have), or one thread when the pool takes
-        # every core.  A block of two is eight chunks on four threads, of
-        # amplitudes just replaced by a Fortran-ordered array, which the
-        # state copies before any thread writes.
+        # every core.  A block of two is eight chunks on four threads,
+        # started from amplitudes written in place under kept views.
         n = CHUNK_QUBITS + 2
         rotations = (
             PauliRotation(PauliString.from_ops(n, {0: "Z", 3: "X"}), 0.3),
@@ -601,9 +606,9 @@ class TestCircuitRegister:
         monkeypatch.setattr(compiler, "_pool_size", pool)
         state = StateVector(n, start if rows is None else np.zeros(shape, complex))
         if rows is not None:
-            # The state keeps views of its zeros, then loses the array.
+            # The state keeps views of its zeros, then its array is rewritten.
             Circuit(n, rotations).apply_to(state)
-            state.amplitudes = np.asfortranarray(start)
+            state.amplitudes[...] = start
         # Threads switch as often as the interpreter allows.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -88,6 +88,11 @@ class TestValidation:
             {"measure_qubit": 6},
             {"spectrum_average": "median"},
             {"targets": (1.0,)},
+            # Any line break str.splitlines knows would end a CSV header line.
+            {"name": "a\nb"},
+            {"name": "a\rb"},
+            {"name": "a\u2028b"},
+            {"name": "a\n"},
         ],
     )
     def test_bad_fields_raise_config_error(self, overrides):
@@ -314,6 +319,14 @@ class TestConfigFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config_file(tmp_path / "absent.cfg")
+
+    @pytest.mark.parametrize(
+        "word, value", [("True", True), ("OFF", False), ("On", True)]
+    )
+    def test_boolean_words_are_read_in_any_case(self, tmp_path, word, value):
+        path = tmp_path / "case.cfg"
+        path.write_text(CONFIG_TEXT.replace("signed = true", f"signed = {word}"))
+        assert load_config_file(path).error_signed is value
 
     def test_resolve_prefers_presets(self, tmp_path):
         assert resolve_config("fig2a") is PRESETS["fig2a"]
@@ -799,6 +812,9 @@ class TestCli:
                 "error.signed: only read with error.fraction",
             ),
             ("[experiment]\n", "[DEFAULT]\nmodel = u4\n[experiment]\n", "DEFAULT:"),
+            ("signed = true", "signed = maybe", "error.signed: expected true or"),
+            # configparser joins an indented next line to the value.
+            ("name = roundtrip", "name = fig\n  two", "experiment.name: must be one"),
             # "\udcff" is written as the lone byte 0xff.
             ("seed = 5\n", "seed = 5\n# \udcff\n", "bad.cfg: not UTF-8"),
         ],

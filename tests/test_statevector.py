@@ -61,6 +61,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             StateVector.basis_state(2, 4)
 
+    def test_keeps_a_c_ordered_complex_array_and_copies_any_other(self):
+        n = 3
+        kept = np.arange(2 << n, dtype=np.complex128).reshape(2, 1 << n)
+        row = kept[1]
+        assert StateVector(n, kept).amplitudes is kept
+        assert StateVector(n, row).amplitudes is row
+        for other in (np.asfortranarray(kept), np.arange(2 << n).reshape(2, 1 << n)):
+            amplitudes = StateVector(n, other).amplitudes
+            assert amplitudes is not other and not np.shares_memory(amplitudes, other)
+            assert amplitudes.dtype == np.complex128
+            assert amplitudes.flags.c_contiguous
+            assert np.array_equal(amplitudes, other)
+
 
 class TestApplyRotation:
     def test_identity_generator_is_global_phase(self):
@@ -345,22 +358,34 @@ def step_circuit(n):
 
 
 class TestStepViews:
-    """A state reuses its step views until ``amplitudes`` is replaced."""
+    """A state keeps one array, and its step views, for its life."""
 
-    @pytest.mark.parametrize("rows, order", [(None, "C"), (3, "C"), (3, "F")])
-    def test_replaced_amplitudes_are_evolved(self, rng, rows, order):
+    def test_amplitudes_are_written_in_place_never_rebound(self, rng):
         n = 4
         circuit = step_circuit(n)
-        shape = (1 << n,) if rows is None else (rows, 1 << n)
-        state = StateVector(n, rng.normal(size=shape) + 0j)
-        circuit.apply_to(state)
         mat = np.linalg.qr(rng.normal(size=(1 << n, 1 << n)))[0]
-        # A new array, here in either order.
-        state.amplitudes = np.array(state.amplitudes @ mat.T, order=order)
-        fresh = StateVector(n, state.amplitudes.copy())
-        circuit.apply_to(state)
-        circuit.apply_to(fresh)
-        assert np.array_equal(state.amplitudes, fresh.amplitudes)
+        for rows in (None, 3):
+            shape = (1 << n,) if rows is None else (rows, 1 << n)
+            state = StateVector(n, rng.normal(size=shape) + 0j)
+            circuit.apply_to(state)
+            array, views = state.amplitudes, dict(state._views)
+            before = array.copy()
+            with pytest.raises(AttributeError, match="in place"):
+                state.amplitudes = array.copy()
+            assert state.amplitudes is array
+            assert np.array_equal(array.view(np.uint64), before.view(np.uint64))
+            assert state._views.keys() == views.keys()
+            assert all(state._views[key] is kept for key, kept in views.items())
+            # Both in-place forms write the kept array, which then evolves
+            # through the kept views bit for bit like a fresh state.
+            state.amplitudes[...] = array @ mat.T
+            state.amplitudes *= np.exp(0.77j)
+            assert state.amplitudes is array
+            fresh = StateVector(n, array.copy())
+            circuit.apply_to(state)
+            circuit.apply_to(fresh)
+            want = fresh.amplitudes
+            assert np.array_equal(array.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize(
         "clone", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))]

@@ -16,7 +16,8 @@ the pairs, the pairs in which the change was lower, and whether the
 medians differ by more than the parent's interquartile range.  Each
 timed run also keeps, per workload, its series deviation and the peak RSS
 of run.py's measuring process and of its pool workers, so a
-``peak_rss_mib`` figure shows which of them set it.
+``peak_rss_mib`` figure shows which of them set it.  ``src_lines`` gives
+each side's line count of ``src/**/*.py``, as ``wc -l`` counts it.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ def _copy(rev: str | None, dest: Path) -> None:
         if name and src.is_file():
             (dest / name.decode()).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, dest / name.decode())
+
+
+def _src_lines(root: Path) -> int:
+    """Newlines in the ``src/**/*.py`` files under ``root``: ``wc -l``."""
+    return sum(path.read_bytes().count(b"\n") for path in root.glob("src/**/*.py"))
 
 
 def _run(rev: str | None, seed: int, trace: int, workdir: Path) -> dict:
@@ -186,6 +192,10 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         workdir = Path(tmp)
+        src_lines = {}
+        for side, rev in sides.items():
+            _copy(rev, workdir / side)
+            src_lines[side] = _src_lines(workdir / side)
         pairs = [
             _pair(sides, seed, ("parent", "change")[i % 2], 0, workdir)
             for i, seed in enumerate(seeds)
@@ -213,6 +223,7 @@ def main(argv=None) -> int:
         ),
         "environment": env,
         "quartiles": "statistics.quantiles(method='inclusive') over the pairs' per-run values",
+        "src_lines": src_lines,
         "pair_seeds": seeds,
         "held_out_seed": args.held_out_seed,
         "notes": [
