@@ -56,8 +56,6 @@ from .models import (
     default_targets,
     ideal_model_params,
     logical_basis_index,
-    model_period,
-    readout_chain,
 )
 from .observables import (
     Spectrum,

@@ -531,7 +531,7 @@ def lower_rotation_native(
             + _zy_block(n, qa, qb, theta)
             + [_single(n, qb, "X", QUARTER)]
         )
-    # No Z present: conjugate into the Z-X form on (qa, qb).
+    # No Z, so each letter is X or Y: conjugate into the Z-X form on (qa, qb).
     pre: list[PauliRotation] = []
     post: list[PauliRotation] = []
     for q, basis in ((qa, _TO_Z.get(pa)), (qb, _TO_X.get(pb))):
@@ -539,8 +539,6 @@ def lower_rotation_native(
             letter, angle = basis
             pre.append(_single(n, q, letter, angle))
             post.append(_single(n, q, letter, -angle))
-    if not pre:
-        raise CompilationError(f"unsupported letter pair {pa}{pb}")
     return pre + _zx_block(n, qa, qb, theta) + post
 
 

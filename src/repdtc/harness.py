@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 from collections.abc import Callable
@@ -46,7 +47,6 @@ from .models import (
     ChainLayout,
     build_model,
     default_targets,
-    readout_chain,
 )
 from .observables import (
     DEFAULT_TILT,
@@ -116,13 +116,19 @@ class ConfigKey:
         except (ValueError, KeyError):
             raise ConfigError(f"{where}: expected {self.what}, got {text!r}") from None
 
-    def check(self, value, chain: int = 0):
+    def check(self, value, chain: int):
+        name = self.name.format(chain)
+        # 8.0 would pass the range test and fail later; True would count as 1.
+        if self.parse is int and value is not None and (
+            isinstance(value, bool) or not isinstance(value, numbers.Integral)
+        ):
+            raise ConfigError(f"{name}: expected {self.what}, got {value!r}")
         try:
             inside = value is None or self.accepts(value)
         except TypeError:
             inside = False
         if not inside:
-            raise ConfigError(f"{self.name.format(chain)}: {self.rule}, got {value!r}")
+            raise ConfigError(f"{name}: {self.rule}, got {value!r}")
         return value
 
 
@@ -285,7 +291,7 @@ class ExperimentConfig:
         """
         if self.measure_qubit is not None:
             return None
-        return readout_chain(self.model, self.chains)
+        return MODEL_SPECS[self.model].readout(self.chains)
 
     def validate(self) -> None:
         """Each field against its key's domain, then the cross-field rules."""
@@ -931,7 +937,7 @@ def load_config_file(path: str | os.PathLike) -> ExperimentConfig:
     values = {}
     known = []
 
-    def value_of(key: ConfigKey, chain: int = 0):
+    def value_of(key: ConfigKey, chain: int):
         name = key.name.format(chain)
         known.append(name)
         text = parser.get(*name.split("."), fallback=None)
@@ -948,7 +954,7 @@ def load_config_file(path: str | os.PathLike) -> ExperimentConfig:
             # Each chain's key is read in turn, so a missing one stops here.
             value = tuple(value_of(key, c) for c in range(values["chains"]))
         else:
-            value = value_of(key)
+            value = value_of(key, 0)
         if value is not _NO_DEFAULT:
             values[key.field] = value
     for section in parser.sections():

@@ -243,17 +243,16 @@ def build_long_range_stabilizer_layer(
     return Layer("stabilizer-lr", "stabilizer-lr", tuple(rotations))
 
 
-def build_logical_x_layer(
-    layout: ChainLayout, x_field: np.ndarray, chain: int = 0
-) -> Layer:
-    """exp(-i sum_j h[j] X_j) on one chain; h = pi/2 realizes logical X."""
+def build_logical_x_layer(layout: ChainLayout, x_field: np.ndarray) -> Layer:
+    """exp(-i sum_j h[j] X_j) on chain 0, the chain every model drives;
+    h = pi/2 realizes logical X."""
     x_field = np.asarray(x_field, dtype=float)
     if x_field.shape != (layout.sites,):
         raise ValueError("x_field must have one angle per site")
     n = layout.n_qubits
     rotations = tuple(
         PauliRotation(
-            PauliString.from_ops(n, {layout.qubit(chain, j): "X"}),
+            PauliString.from_ops(n, {layout.qubit(0, j): "X"}),
             float(x_field[j]),
         )
         for j in range(layout.sites)
@@ -485,25 +484,11 @@ def ideal_model_params(
     )
 
 
-def model_period(model: str, n_chains: int) -> int:
-    """Subharmonic period in driving cycles of the ideal logical dynamics."""
-    return model_spec(model).period(n_chains)
-
-
 def default_targets(model: str, n_chains: int) -> tuple[float, ...]:
     """Spectral bins of the subharmonic response: 2*pi/period and its mirror."""
-    period = model_period(model, n_chains)
+    period = model_spec(model).period(n_chains)
     omega = 2 * math.pi / period
     mirror = 2 * math.pi - omega
     if abs(mirror - omega) < 1e-12:
         return (omega,)
     return (omega, mirror)
-
-
-def readout_chain(model: str, n_chains: int) -> int | None:
-    """Chain whose magnetization isolates the slowest subharmonic.
-
-    None means the plain chain average; the reason for each model sits
-    beside ``MODEL_SPECS``.
-    """
-    return model_spec(model).readout(n_chains)

@@ -32,10 +32,6 @@ class TimeSeries:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
 
-    @property
-    def cycles(self) -> int:
-        return len(self.values) - 1
-
 
 @dataclass
 class Spectrum:
@@ -134,15 +130,13 @@ def power_spectrum(series: TimeSeries) -> Spectrum:
     return Spectrum(omegas, magnitudes)
 
 
-def subharmonic_score(
-    spectrum: Spectrum, targets, cap: float = SCORE_CAP
-) -> float:
+def subharmonic_score(spectrum: Spectrum, targets) -> float:
     """(mean target-bin magnitude) / (max non-target non-DC magnitude).
 
     Scores above 1 mean the subharmonic dominates the rest of the
     spectrum.  Magnitudes below a floor of 1e-9 times the spectral
     maximum count as numerically zero: zero targets score 0, zero
-    background saturates at ``cap``.
+    background saturates at ``SCORE_CAP``.
     """
     bins = sorted({spectrum.bin_of(omega) for omega in targets})
     if not bins:
@@ -160,8 +154,8 @@ def subharmonic_score(
     if target_amp <= floor:
         return 0.0
     if background <= floor:
-        return cap
-    return min(target_amp / background, cap)
+        return SCORE_CAP
+    return min(target_amp / background, SCORE_CAP)
 
 
 def subharmonic_lifetime(

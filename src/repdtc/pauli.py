@@ -2,14 +2,14 @@
 
 A Pauli string is a tensor product of single-qubit letters I, X, Y, Z
 together with a global phase restricted to {+1, -1, +i, -i}.  The phase
-is stored as an exponent k with phase = i**k, so products, commutation
+is held only as an exponent k with phase = i**k, so products, commutation
 checks and pi/4 Clifford conjugation are exact integer arithmetic and
 never touch floating point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 LETTERS = ("I", "X", "Y", "Z")
@@ -34,23 +34,15 @@ _SITE_PRODUCT = {
     ("X", "Z"): (3, "Y"),
 }
 
-_PHASE_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
 _PHASE_TEXT = ("+1", "+i", "-1", "-i")
-
-
-def _phase_to_power(phase: complex) -> int:
-    for k, value in enumerate(_PHASE_VALUES):
-        if phase == value:
-            return k
-    raise ValueError(f"phase must be one of +1, -1, +i, -i, got {phase!r}")
 
 
 @dataclass(frozen=True)
 class PauliString:
     """Immutable Pauli string: phase * (letter on each qubit).
 
-    ``letters[q]`` is the letter acting on qubit q and ``phase_power``
-    encodes the global phase i**phase_power.
+    ``letters[q]`` is the letter acting on qubit q, and ``phase_power``
+    (mod 4) is the one form of the global phase i**phase_power.
     """
 
     letters: tuple[str, ...]
@@ -63,31 +55,18 @@ class PauliString:
         object.__setattr__(self, "phase_power", self.phase_power % 4)
 
     @classmethod
-    def from_ops(
-        cls,
-        n_qubits: int,
-        ops: Mapping[int, str],
-        phase: complex = 1,
-    ) -> "PauliString":
-        """Build a string on ``n_qubits`` qubits from a {qubit: letter} map."""
+    def from_ops(cls, n_qubits: int, ops: Mapping[int, str]) -> "PauliString":
+        """A phase +1 string on ``n_qubits`` qubits from a {qubit: letter} map."""
         letters = ["I"] * n_qubits
         for q, c in ops.items():
             if not 0 <= q < n_qubits:
                 raise ValueError(f"qubit {q} outside register of size {n_qubits}")
             letters[q] = c
-        return cls(tuple(letters), _phase_to_power(phase))
-
-    @classmethod
-    def identity(cls, n_qubits: int) -> "PauliString":
-        return cls(("I",) * n_qubits)
+        return cls(tuple(letters))
 
     @property
     def n_qubits(self) -> int:
         return len(self.letters)
-
-    @property
-    def phase(self) -> complex:
-        return _PHASE_VALUES[self.phase_power]
 
     @property
     def weight(self) -> int:

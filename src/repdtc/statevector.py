@@ -76,18 +76,16 @@ def _z_signs(bits: int) -> tuple[np.ndarray, ...]:
     return tuple(_z_sign(bits, q) for q in range(bits))
 
 
-def _slabs(shape: tuple, kept: tuple, limit: int) -> tuple | None:
+def _slabs(shape: tuple, kept: tuple, limit: int) -> tuple:
     """Index tuples that cut a view of ``shape`` into slabs of at most
     ``limit`` entries, along the axes not in ``kept``, outermost first;
-    None when the view is no larger.
+    the view, on a register above 2**CHUNK_QUBITS, is always larger.
 
     A gate that reverses only ``kept`` axes reads, through its reversed
     view, only the entries of the slab it writes, so slab after slab
     applies in place.
     """
     size = math.prod(shape)
-    if size <= limit:
-        return None
     cuts = []
     for axis, length in enumerate(shape):
         if size <= limit:
@@ -260,8 +258,8 @@ class StateVector:
         return StateVector(self.n_qubits, self._amplitudes.copy())
 
     def __reduce__(self):
-        # Pickled or deep-copied views would be copies, not views.
-        return StateVector, (self.n_qubits, self._amplitudes)
+        # copy, deepcopy and pickle each clone the array, as copy() does.
+        return StateVector, (self.n_qubits, self._amplitudes.copy())
 
     def norm(self) -> float:
         self._check_one_state()

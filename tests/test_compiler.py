@@ -96,7 +96,7 @@ class TestGadgets:
 
     @pytest.mark.parametrize("decompose", [decompose_i1, decompose_i2, decompose_i3])
     def test_identity_target_is_refused_by_name(self, decompose):
-        target = PauliString.identity(4)
+        target = PauliString.from_ops(4, {})
         with pytest.raises(CompilationError, match=f"got {re.escape(str(target))}$"):
             decompose(target, 0.3)
 
@@ -404,7 +404,7 @@ class TestNativeLowering:
         assert lower_rotation_native(rot) == [rot]
 
     def test_weight_zero_drops(self):
-        rot = PauliRotation(PauliString.identity(2), 0.3)
+        rot = PauliRotation(PauliString.from_ops(2, {}), 0.3)
         assert lower_rotation_native(rot) == []
 
     def test_weight_three_refused(self):

@@ -99,6 +99,25 @@ class TestValidation:
         with pytest.raises(ConfigError):
             small_config(**overrides).validate()
 
+    # Each used to pass validate(): the floats ended in a bare TypeError
+    # inside run_experiment, True ran as seed 1 and 10.0 as ten shots.
+    @pytest.mark.parametrize(
+        "field,value",
+        [("cycles", 8.0), ("realizations", 1.0), ("seed", 11.0), ("seed", True),
+         ("shots", 10.0), ("chains", "2")],
+    )
+    def test_non_integer_in_integer_field_is_refused(self, field, value):
+        config = replace(PRESETS["fig2a"], **{field: value})
+        with pytest.raises(ConfigError, match=f"^experiment.{field}: expected an integer"):
+            config.validate()
+
+    def test_numpy_integers_are_integers(self):
+        replace(PRESETS["fig2a"], seed=np.int64(11), realizations=np.int32(2)).validate()
+
+    def test_value_the_range_test_cannot_compare_is_refused(self):
+        with pytest.raises(ConfigError, match="^experiment.init_jitter: must lie in"):
+            small_config(init_jitter="0.1").validate()
+
     def test_explicit_spec_mode_requirements(self):
         with pytest.raises(ConfigError):
             small_config(
@@ -363,6 +382,10 @@ class TestOverrides:
 
 
 class TestRunExperiment:
+    def test_workers_below_one_are_refused(self):
+        with pytest.raises(ConfigError, match="^workers: need at least 1, got 0$"):
+            run_experiment(small_config(), workers=0)
+
     def test_record_structure_and_scores(self):
         cfg = small_config()
         record = run_experiment(cfg)

@@ -22,15 +22,16 @@ from repdtc.harness import ConfigError, ExperimentConfig
 from repdtc.models import (
     MODEL_SPECS,
     CnotParams,
+    Layer,
     build_generalized_cnot_layer,
     build_h_rep_layer,
     build_logical_x_layer,
     build_long_range_stabilizer_layer,
     build_transversal_cnot_layer,
     default_targets,
-    model_period,
-    readout_chain,
+    model_spec,
 )
+from repdtc.pauli import PauliRotation, PauliString
 
 from conftest import circuit_unitary, dense_cnot, dense_multi_cnot, phase_distance
 
@@ -76,6 +77,15 @@ class TestChainLayout:
         with pytest.raises(ValueError):
             ChainLayout(2, 0)
 
+    def test_qubit_and_chain_site_refuse_out_of_range(self):
+        layout = ChainLayout(2, 3)
+        with pytest.raises(ValueError, match="^chain 2 out of range$"):
+            layout.qubit(2, 0)
+        with pytest.raises(ValueError, match="^site -1 out of range$"):
+            layout.qubit(0, -1)
+        with pytest.raises(ValueError, match="^qubit 6 out of range$"):
+            layout.chain_site(6)
+
 
 class TestLogicalBasisIndex:
     def test_two_chain_states(self):
@@ -92,7 +102,49 @@ class TestLogicalBasisIndex:
             logical_basis_index(layout, 4)
 
 
+_LAYOUT = ChainLayout(3, 2)
+_CNOT = CnotParams(np.zeros(2), np.zeros(2), np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: build_h_rep_layer(_LAYOUT, np.zeros((3, 2))), "couplings must"),
+        (lambda: build_h_rep_layer(_LAYOUT, np.zeros((3, 1)), np.zeros(3)),
+         "z_field needs"),
+        (lambda: build_long_range_stabilizer_layer(_LAYOUT, np.zeros((3, 2))),
+         "long-range couplings must"),
+        (lambda: build_logical_x_layer(_LAYOUT, np.zeros(3)), "x_field must"),
+        (lambda: build_transversal_cnot_layer(
+            _LAYOUT, 0, 1, CnotParams(np.zeros(3), np.zeros(2), np.zeros(2))),
+         "CNOT parameter arrays must"),
+        (lambda: build_transversal_cnot_layer(_LAYOUT, 1, 1, _CNOT),
+         "control and target chains must differ"),
+        (lambda: build_generalized_cnot_layer(_LAYOUT, (0,), 2, np.ones(3)),
+         "scales must"),
+        (lambda: build_generalized_cnot_layer(_LAYOUT, (0, 0), 2, np.ones(2)),
+         "control and target chains must be distinct"),
+        (lambda: build_generalized_cnot_layer(_LAYOUT, (0, 2), 2, np.ones(2)),
+         "control and target chains must be distinct"),
+        (lambda: build_generalized_cnot_layer(_LAYOUT, (), 2, np.ones(2)),
+         "need at least one control chain"),
+    ],
+    ids=["h-rep-couplings", "h-rep-z-field", "long-range-couplings", "x-field",
+         "cnot-params", "cnot-same-chain", "generalized-scales",
+         "generalized-repeated-control", "generalized-target-in-controls",
+         "generalized-no-control"],
+)
+def test_layer_builders_refuse_bad_shapes_and_chains(build, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build()
+
+
 class TestLayerBuilders:
+    def test_layer_of_anticommuting_rotations_is_refused(self):
+        rots = tuple(PauliRotation(PauliString.from_ops(2, {0: p}), 0.1) for p in "XZ")
+        with pytest.raises(ValueError, match="^layer 'clash' contains non-commuting"):
+            Layer("clash", "x", rots)
+
     def test_h_rep_angles_negate_couplings(self):
         layout = ChainLayout(1, 4)
         j = np.array([[0.3, 0.7, 1.1]])
@@ -117,11 +169,6 @@ class TestLayerBuilders:
         layer = build_logical_x_layer(layout, np.full(3, math.pi / 2))
         assert len(layer.rotations) == 3
         assert all(r.pauli.support()[0] < 3 for r in layer.rotations)
-
-    def test_x_layer_on_second_chain(self):
-        layout = ChainLayout(2, 2)
-        layer = build_logical_x_layer(layout, np.full(2, 0.1), chain=1)
-        assert {r.pauli.support()[0] for r in layer.rotations} == {2, 3}
 
     def test_long_range_angles_follow_power_law(self):
         layout = ChainLayout(2, 4)
@@ -313,7 +360,7 @@ class TestModelTables:
          ("u2n", 4, 16)],
     )
     def test_model_period(self, model, chains, period):
-        assert model_period(model, chains) == period
+        assert model_spec(model).period(chains) == period
 
     def test_default_targets_mirror_pair(self):
         omega, mirror = default_targets("u8", 3)
@@ -329,7 +376,7 @@ class TestModelTables:
          ("u3", 3, None), ("2t", 1, None)],
     )
     def test_readout_chain(self, model, chains, chain):
-        assert readout_chain(model, chains) == chain
+        assert model_spec(model).readout(chains) == chain
 
 
 class TestProgramSerialization:

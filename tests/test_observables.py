@@ -69,12 +69,6 @@ class TestInitialState:
         assert state.expectation_z(1) == pytest.approx(math.cos(0.6))
 
 
-class TestTimeSeries:
-    def test_cycles_excludes_initial_sample(self):
-        series = TimeSeries(np.zeros(11))
-        assert series.cycles == 10
-
-
 class TestStroboscopicRun:
     def test_period_doubled_magnetization(self):
         state = prepare_initial_state(2)
@@ -196,6 +190,12 @@ class TestPowerSpectrum:
     def test_needs_two_cycles(self):
         with pytest.raises(ValueError):
             power_spectrum(TimeSeries(np.zeros(2)))
+
+
+class TestSpectrum:
+    def test_mismatched_lengths_are_refused(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            Spectrum(np.zeros(4), np.zeros(3))
 
 
 class TestBinLookup:

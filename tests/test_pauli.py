@@ -12,17 +12,23 @@ def random_string(rng, n):
     return PauliString(letters, int(rng.integers(4)))
 
 
+def dense_of(p):
+    """The matrix of ``p``, its phase i**phase_power included."""
+    return dense_pauli(p.n_qubits, dict(enumerate(p.letters)), 1j**p.phase_power)
+
+
 class TestPauliString:
     def test_from_ops_places_letters(self):
         p = PauliString.from_ops(4, {0: "Z", 2: "X"})
         assert p.letters == ("Z", "I", "X", "I")
-        assert p.phase == 1
+        assert p.phase_power == 0
         assert p.weight == 2
         assert p.support() == (0, 2)
 
     def test_phase_wraps_mod_four(self):
         p = PauliString(("X",), 7)
-        assert p.phase == -1j
+        assert p.phase_power == 3
+        assert 1j**p.phase_power == -1j
 
     def test_from_ops_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -32,13 +38,18 @@ class TestPauliString:
         with pytest.raises(ValueError):
             PauliString(("Q",))
 
-    @pytest.mark.parametrize("phase,hermitian", [(1, True), (-1, True), (1j, False)])
-    def test_hermiticity(self, phase, hermitian):
-        p = PauliString.from_ops(1, {0: "Y"}, phase)
+    # Each id names the phase i**power.
+    @pytest.mark.parametrize(
+        "power,hermitian",
+        [(0, True), (2, True), (1, False)],
+        ids=["1-True", "-1-True", "1j-False"],
+    )
+    def test_hermiticity(self, power, hermitian):
+        p = PauliString(("Y",), power)
         assert p.is_hermitian() is hermitian
 
     def test_identity(self):
-        p = PauliString.identity(3)
+        p = PauliString.from_ops(3, {})
         assert p.weight == 0
         assert p.n_qubits == 3
 
@@ -59,22 +70,18 @@ class TestMultiply:
         pb = PauliString.from_ops(1, {0: b})
         prod = multiply(pa, pb)
         assert prod.letters == (expect,)
-        assert prod.phase == phase
+        assert 1j**prod.phase_power == phase
 
     def test_matches_dense_product(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 5))
             a, b = random_string(rng, n), random_string(rng, n)
             prod = multiply(a, b)
-            dense = dense_pauli(n, dict(enumerate(a.letters)), a.phase) @ dense_pauli(
-                n, dict(enumerate(b.letters)), b.phase
-            )
-            want = dense_pauli(n, dict(enumerate(prod.letters)), prod.phase)
-            assert np.allclose(dense, want)
+            assert np.allclose(dense_of(a) @ dense_of(b), dense_of(prod))
 
     def test_register_size_mismatch(self):
         with pytest.raises(ValueError):
-            multiply(PauliString.identity(2), PauliString.identity(3))
+            multiply(PauliString.from_ops(2, {}), PauliString.from_ops(3, {}))
 
 
 class TestAnticommutes:
@@ -117,7 +124,7 @@ class TestCliffordConjugate:
         assert moved
         # exp(i pi/4 Z) X exp(-i pi/4 Z) = -Y
         assert image.letters == ("Y",)
-        assert image.phase == -1
+        assert image.phase_power == 2
 
     def test_matches_dense_conjugation(self, rng):
         for _ in range(60):
@@ -129,11 +136,10 @@ class TestCliffordConjugate:
             u = dense_rotation_matrix(n, g, -sign * np.pi / 4)
             dense_t = dense_pauli(n, dict(enumerate(t.letters)))
             got = u @ dense_t @ u.conj().T
-            want = dense_pauli(n, dict(enumerate(image.letters)), image.phase)
-            assert np.allclose(got, want, atol=1e-12)
+            assert np.allclose(got, dense_of(image), atol=1e-12)
 
     def test_rejects_non_hermitian_generator(self):
-        g = PauliString.from_ops(1, {0: "X"}, 1j)
+        g = PauliString(("X",), 1)
         with pytest.raises(ValueError):
             clifford_conjugate(g, 1, PauliString.from_ops(1, {0: "Z"}))
 
@@ -151,7 +157,7 @@ def dense_rotation_matrix(n, pauli, theta):
 class TestPauliRotation:
     def test_rejects_phased_generator(self):
         with pytest.raises(ValueError):
-            PauliRotation(PauliString.from_ops(1, {0: "X"}, 1j), 0.5)
+            PauliRotation(PauliString(("X",), 1), 0.5)
 
     def test_inverse(self):
         rot = PauliRotation(PauliString.from_ops(2, {0: "Z", 1: "X"}), 0.3)

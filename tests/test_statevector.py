@@ -49,6 +49,10 @@ class TestConstruction:
         assert s.amplitudes[5] == 1.0
         assert np.count_nonzero(s.amplitudes) == 1
 
+    def test_rejects_empty_register(self):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            StateVector(0)
+
     def test_rejects_oversized_register(self):
         with pytest.raises(ValueError):
             StateVector(MAX_QUBITS + 1)
@@ -78,7 +82,7 @@ class TestConstruction:
 class TestApplyRotation:
     def test_identity_generator_is_global_phase(self):
         s = StateVector.basis_state(2, 1)
-        s.apply_rotation(PauliRotation(PauliString.identity(2), 0.7))
+        s.apply_rotation(PauliRotation(PauliString.from_ops(2, {}), 0.7))
         assert s.amplitudes[1] == pytest.approx(np.exp(-0.7j))
 
     def test_diagonal_generator(self):
@@ -396,10 +400,12 @@ class TestStepViews:
         state = StateVector(n, rng.normal(size=1 << n) + 0j)
         circuit.apply_to(state)
         other = clone(state)
+        before = state.amplitudes.tobytes()
         fresh = StateVector(n, state.amplitudes.copy())
         circuit.apply_to(other)
         circuit.apply_to(fresh)
         assert np.array_equal(other.amplitudes, fresh.amplitudes)
+        assert state.amplitudes.tobytes() == before
 
     def test_step_for_another_register_size_is_refused(self):
         n = 3
