@@ -11,9 +11,7 @@ from .compiler import (
     CompilationError,
     ISwapRotation,
     LOWERING_LEVELS,
-    decompose_i1,
-    decompose_i2,
-    decompose_i3,
+    decompose,
     lower_program,
     lower_rotation_native,
     lower_to_native,

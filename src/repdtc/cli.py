@@ -16,9 +16,8 @@ import numpy as np
 
 from .compiler import (
     LOWERING_LEVELS,
-    decompose_i1,
-    decompose_i2,
-    decompose_i3,
+    Circuit,
+    decompose,
     lower_program,
     lower_to_native,
     verify_equivalence,
@@ -141,33 +140,27 @@ def _cmd_verify() -> int:
     cnot_layer = build_transversal_cnot_layer(
         pair, 0, 1, ideal_model_params("u4", pair).cnots[0]
     )
-    dev = verify_equivalence(list(cnot_layer.rotations), _dense_cnot())
+    dev = verify_equivalence(Circuit(2, cnot_layer.rotations), _dense_cnot())
     ok &= _check("transversal CNOT site = CNOT gate", dev, 1e-12)
 
     triple = ChainLayout(3, 1)
     ccnot_layer = build_generalized_cnot_layer(triple, (0, 1), 2, np.ones(1))
-    dev = verify_equivalence(list(ccnot_layer.rotations), _dense_ccnot())
+    dev = verify_equivalence(Circuit(3, ccnot_layer.rotations), _dense_ccnot())
     ok &= _check("transversal CCNOT site = CCNOT gate", dev, 1e-12)
 
     # Conjugation gadgets against their target rotations.
-    worst = {"i1": 0.0, "i2": 0.0, "i3": 0.0}
+    targets = {
+        "i1": PauliString.from_ops(4, {0: "Z", 1: "Z", 2: "Z", 3: "X"}),
+        "i2": PauliString.from_ops(4, {0: "Z", 3: "X"}),
+        "i3": PauliString.from_ops(4, {0: "Z", 3: "Z"}),
+    }
+    worst = dict.fromkeys(targets, 0.0)
     for _ in range(20):
         theta = rng.uniform(-math.pi, math.pi)
-        t1 = PauliString.from_ops(4, {0: "Z", 1: "Z", 2: "Z", 3: "X"})
-        worst["i1"] = max(
-            worst["i1"],
-            verify_equivalence(decompose_i1(t1, theta), [PauliRotation(t1, theta)]),
-        )
-        t2 = PauliString.from_ops(4, {0: "Z", 3: "X"})
-        worst["i2"] = max(
-            worst["i2"],
-            verify_equivalence(decompose_i2(t2, theta), [PauliRotation(t2, theta)]),
-        )
-        t3 = PauliString.from_ops(4, {0: "Z", 3: "Z"})
-        worst["i3"] = max(
-            worst["i3"],
-            verify_equivalence(decompose_i3(t3, theta), [PauliRotation(t3, theta)]),
-        )
+        for kind, target in targets.items():
+            bare = Circuit(4, (PauliRotation(target, theta),))
+            dev = verify_equivalence(decompose(kind, target, theta), bare)
+            worst[kind] = max(worst[kind], dev)
     ok &= _check("Z..ZX run gadget (20 random angles)", worst["i1"], 1e-10)
     ok &= _check("long-range ZX gadget (20 random angles)", worst["i2"], 1e-10)
     ok &= _check("long-range ZZ gadget (20 random angles)", worst["i3"], 1e-10)
@@ -176,7 +169,7 @@ def _cmd_verify() -> int:
     layout = ChainLayout(3, 2)
     layer = build_generalized_cnot_layer(layout, (0, 1), 2, np.array([1.0, 0.7]))
     ccnot = FloquetProgram(layout, "u8", (layer,))
-    dev = verify_equivalence(lower_program(ccnot, "local-gadgets"), ccnot)
+    dev = verify_equivalence(lower_program(ccnot, "local-gadgets"), ccnot.circuit)
     ok &= _check("local CCNOT sequence = transversal layer", dev, 1e-10)
 
     # Native lowering of every two-qubit letter pair.
@@ -186,15 +179,15 @@ def _cmd_verify() -> int:
             theta = rng.uniform(-math.pi, math.pi)
             target = PauliString.from_ops(2, {0: pa, 1: pb})
             rot = PauliRotation(target, theta)
-            circuit = lower_to_native([rot], 2)
-            worst_pair = max(worst_pair, verify_equivalence(circuit, [rot]))
+            dev = verify_equivalence(lower_to_native([rot], 2), Circuit(2, (rot,)))
+            worst_pair = max(worst_pair, dev)
     ok &= _check("iSWAP lowering of all letter pairs", worst_pair, 1e-12)
 
     # Whole-program lowering agreement; u8's CCNOT takes the generic path.
     for model, layout in (("u4", ChainLayout(2, 3)), ("u8", ChainLayout(3, 2))):
         program = build_model(model, layout, ideal_model_params(model, layout))
         for level in LOWERING_LEVELS[1:]:
-            dev = verify_equivalence(program, lower_program(program, level))
+            dev = verify_equivalence(program.circuit, lower_program(program, level))
             ok &= _check(f"{model} program vs {level} lowering", dev, 1e-10)
 
     # Logical eigenstate spectra for one, two, and three chains.

@@ -10,14 +10,14 @@ Three levels exist:
 
 Every level, and every gadget, returns one ``Circuit``: a flat list of
 Pauli and iSWAP rotations compiled once, the single executable form of
-a period.
+a period.  A program runs as its ``circuit``.
 
-The gadget constructions all follow one identity: conjugating a rotation
+The gadgets all follow one identity: conjugating a rotation
 exp(-i*theta*P) by exp(+-i*pi/4*G) with G anticommuting with P yields
 exp(-i*theta*P') with P' = +-i*G*P.  Dressings therefore sit at fixed
-angles +-pi/4 while the core rotation carries theta.  Every gadget is one
-walk of a Z-X core along a qubit path, its dressings read from one row
-of ``_WALKS``.
+angles +-pi/4 while the core rotation carries theta.  ``decompose(kind,
+...)`` walks a Z-X core along a qubit path, its dressings read from the
+kind's row of ``_WALKS``.
 """
 
 from __future__ import annotations
@@ -337,15 +337,22 @@ _WALKS = {
 }
 
 
-def _gadget(
-    kind: str, target: PauliString, theta: float, path: Sequence[int] | None
+def decompose(
+    kind: str, target: PauliString, theta: float, path: Sequence[int] | None = None
 ) -> Circuit:
-    """Walk a Z-X core on the first two path qubits out onto ``target``.
+    """exp(-i*theta*target) as a walk of a Z-X core along a qubit path.
 
-    The path defaults to the span of the target's support.  Each later
-    path pair (a, b) conjugates by the kind's dressing block;
+    ``kind`` is a row of ``_WALKS``: ``i1`` a Z...ZX run (Z on every path
+    qubit but the last), ``i2`` a Z-X pair on the path's ends, ``i3`` a
+    Z-Z pair on them, which needs three path qubits (a ZZ on neighbours
+    is native).  The core exp(-i*theta*Z X) on the first two path qubits
+    sits in the middle of the circuit, among 2(L-2) dressings for a path
+    of L qubits.  The path defaults to the span of the target's support;
     ``_dressed_sequence`` proves the walk lands on ``target``.
     """
+    if kind not in _WALKS:
+        raise CompilationError(f"unknown gadget {kind!r}; choose from {tuple(_WALKS)}")
+    step, close = _WALKS[kind]
     if path is None:
         support = target.support()
         if not support:
@@ -356,14 +363,10 @@ def _gadget(
     path = tuple(path)
     if len(set(path)) != len(path):
         raise CompilationError("qubit path must not repeat qubits")
-    if len(path) < 2:
-        raise CompilationError(f"{kind} pattern needs at least two qubits")
+    least = 2 if close is None else 3
+    if len(path) < least:
+        raise CompilationError(f"{kind} pattern needs at least {least} qubits")
     n = target.n_qubits
-    if kind == "i3" and len(path) == 2:
-        # A ZZ on neighbours is native: nothing to walk.
-        core = PauliString.from_ops(n, {path[0]: "Z", path[1]: "Z"})
-        return _dressed_sequence(n, PauliRotation(core, theta), [], target)
-    step, close = _WALKS[kind]
     blocks = [step] * (len(path) - 2)
     if close is not None:
         blocks[-1] = close
@@ -379,42 +382,6 @@ def _gadget(
     ]
     core = PauliString.from_ops(n, {path[0]: "Z", path[1]: "X"})
     return _dressed_sequence(n, PauliRotation(core, theta), dressings, target)
-
-
-def decompose_i1(
-    target: PauliString, theta: float, path: Sequence[int] | None = None
-) -> Circuit:
-    """Z...ZX run: Z on every path qubit but the last, X on the last.
-
-    Core exp(-i*theta*Z X) on the first two path qubits, dressed by
-    exp(+i*pi/4*Y_k X_{k+1}) for each later step.  A length-L run costs
-    2(L-2) dressings plus the core, which sits in the middle of the
-    returned circuit, as in every i1/i2/i3 gadget.
-    """
-    return _gadget("i1", target, theta, path)
-
-
-def decompose_i2(
-    target: PauliString, theta: float, path: Sequence[int] | None = None
-) -> Circuit:
-    """Long-range Z-X pair: Z on path[0], X on path[-1].
-
-    Each growth step conjugates by exp(+i*pi/4*YY) then exp(+i*pi/4*ZZ)
-    on consecutive path qubits, walking the X endpoint outward.
-    """
-    return _gadget("i2", target, theta, path)
-
-
-def decompose_i3(
-    target: PauliString, theta: float, path: Sequence[int] | None = None
-) -> Circuit:
-    """Long-range Z-Z pair: Z on both ends of the path.
-
-    The X endpoint of a Z-X core is walked outward as in the Z-X gadget,
-    then one final block conjugates by exp(+i*pi/4*YY) and
-    exp(-i*pi/4*ZX) to turn the far X into a Z.
-    """
-    return _gadget("i3", target, theta, path)
 
 
 # -- program-level gadget lowering -------------------------------------------
@@ -441,12 +408,12 @@ def _route_path(layout: ChainLayout, support: tuple[int, ...]) -> list[int]:
 def lower_rotation_local(
     layout: ChainLayout, rotation: PauliRotation
 ) -> list[PauliRotation]:
-    """Rewrite one rotation over nearest-neighbor weight-<=2 rotations."""
+    """Rewrite one rotation over nearest-neighbor weight-<=2 rotations.
+
+    Every rotation it walks spans three or more route qubits."""
     weight = rotation.pauli.weight
-    if weight <= 1:
-        return [rotation]
     support = rotation.pauli.support()
-    if weight == 2 and layout.adjacent(*support):
+    if weight <= 1 or (weight == 2 and layout.adjacent(*support)):
         return [rotation]
     path = _route_path(layout, support)
     letters = [rotation.pauli.letters[q] for q in path]
@@ -454,15 +421,7 @@ def lower_rotation_local(
         path = path[::-1]
         letters = letters[::-1]
     kind = "i3" if letters[-1] == "Z" else "i2" if "I" in letters else "i1"
-    return list(_gadget(kind, rotation.pauli, rotation.angle, path).rotations)
-
-
-def lower_program_local(program: FloquetProgram) -> Circuit:
-    """Rewrite a whole program at the local-gadgets level, rotation by rotation."""
-    rotations: list[PauliRotation] = []
-    for rot in program.all_rotations():
-        rotations.extend(lower_rotation_local(program.layout, rot))
-    return Circuit(program.n_qubits, tuple(rotations))
+    return list(decompose(kind, rotation.pauli, rotation.angle, path).rotations)
 
 
 # -- native iSWAP + single-qubit lowering -------------------------------------
@@ -472,21 +431,15 @@ def _single(n: int, q: int, letter: str, angle: float) -> PauliRotation:
     return PauliRotation(PauliString.from_ops(n, {q: letter}), angle)
 
 
-def _zx_block(n: int, zq: int, xq: int, theta: float) -> list:
-    """exp(-i theta Z_zq X_xq) = ISWAP * RY(theta on zq) * ISWAPINV."""
+def _z_block(n: int, zq: int, q: int, letter: str, theta: float) -> list:
+    """exp(-i theta Z_zq P_q) for P = X or Y, a rotation of zq between
+    two iSWAPs: ISWAP * RY(theta on zq) * ISWAPINV for X, and ISWAPINV *
+    RX(theta on zq) * ISWAP for Y."""
+    turn, core = (-QUARTER, "Y") if letter == "X" else (QUARTER, "X")
     return [
-        ISwapRotation((zq, xq), -QUARTER),
-        _single(n, zq, "Y", theta),
-        ISwapRotation((zq, xq), QUARTER),
-    ]
-
-
-def _zy_block(n: int, zq: int, yq: int, theta: float) -> list:
-    """exp(-i theta Z_zq Y_yq) = ISWAPINV * RX(theta on zq) * ISWAP."""
-    return [
-        ISwapRotation((zq, yq), QUARTER),
-        _single(n, zq, "X", theta),
-        ISwapRotation((zq, yq), -QUARTER),
+        ISwapRotation((zq, q), turn),
+        _single(n, zq, core, theta),
+        ISwapRotation((zq, q), -turn),
     ]
 
 
@@ -501,12 +454,11 @@ def lower_rotation_native(
 ) -> list[PauliRotation | ISwapRotation]:
     """Rewrite one weight-<=2 rotation over RX/RY/RZ and iSWAPs.
 
-    A weight-1 rotation is already native and passes through unchanged.
+    A rotation of weight <= 1 is already native and passes through
+    unchanged, as ``Circuit`` counts it native.
     """
     weight = rotation.pauli.weight
-    if weight == 0:
-        return []  # pure global phase
-    if weight == 1:
+    if weight <= 1:
         return [rotation]
     if weight != 2:
         raise CompilationError(
@@ -517,20 +469,16 @@ def lower_rotation_native(
     theta = rotation.angle
     qa, qb = rotation.pauli.support()
     pa, pb = rotation.pauli.letters[qa], rotation.pauli.letters[qb]
-    letters = {pa, pb}
-    if letters == {"Z", "X"}:
-        zq, xq = (qa, qb) if pa == "Z" else (qb, qa)
-        return _zx_block(n, zq, xq, theta)
-    if letters == {"Z", "Y"}:
-        zq, yq = (qa, qb) if pa == "Z" else (qb, qa)
-        return _zy_block(n, zq, yq, theta)
-    if letters == {"Z"}:
+    if pa == pb == "Z":
         # Rotate qb's Z into Y, run the ZY block, rotate back.
         return (
             [_single(n, qb, "X", -QUARTER)]
-            + _zy_block(n, qa, qb, theta)
+            + _z_block(n, qa, qb, "Y", theta)
             + [_single(n, qb, "X", QUARTER)]
         )
+    if "Z" in (pa, pb):
+        zq, q, letter = (qa, qb, pb) if pa == "Z" else (qb, qa, pa)
+        return _z_block(n, zq, q, letter, theta)
     # No Z, so each letter is X or Y: conjugate into the Z-X form on (qa, qb).
     pre: list[PauliRotation] = []
     post: list[PauliRotation] = []
@@ -539,7 +487,7 @@ def lower_rotation_native(
             letter, angle = basis
             pre.append(_single(n, q, letter, angle))
             post.append(_single(n, q, letter, -angle))
-    return pre + _zx_block(n, qa, qb, theta) + post
+    return pre + _z_block(n, qa, qb, "X", theta) + post
 
 
 def lower_to_native(rotations: Iterable[PauliRotation], n_qubits: int) -> Circuit:
@@ -555,10 +503,14 @@ def lower_program(program: FloquetProgram, level: str) -> Circuit:
         raise ValueError(f"unknown lowering level {level!r}; choose from {LOWERING_LEVELS}")
     if level == "pauli-layers":
         return program.circuit
-    local = lower_program_local(program)
-    if level == "local-gadgets":
-        return local
-    return lower_to_native(local.rotations, program.n_qubits)
+    local = [
+        piece
+        for rot in program.all_rotations()
+        for piece in lower_rotation_local(program.layout, rot)
+    ]
+    if level == "native-iswap":
+        return lower_to_native(local, program.n_qubits)
+    return Circuit(program.n_qubits, tuple(local))
 
 
 # -- equivalence checking ----------------------------------------------------
@@ -577,15 +529,11 @@ def _operand(obj) -> tuple[int, np.ndarray | Circuit]:
                 f"a dense operand must be a 2**n x 2**n unitary, got shape {obj.shape}"
             )
         return dim.bit_length() - 1, obj
-    if not hasattr(obj, "apply_to"):
-        rotations = tuple(obj)
-        sizes = [r.n_qubits for r in rotations if hasattr(r, "n_qubits")]
-        if not sizes:
-            raise ValueError(
-                "a rotation list without a PauliRotation has no register size; "
-                "pass a Circuit"
-            )
-        obj = Circuit(sizes[0], rotations)
+    if not (hasattr(obj, "apply_to") and hasattr(obj, "n_qubits")):
+        raise ValueError(
+            "an operand is a dense ndarray or has apply_to and n_qubits, "
+            f"got {type(obj).__name__}"
+        )
     return obj.n_qubits, obj
 
 
@@ -605,11 +553,11 @@ def verify_equivalence(a, b) -> float:
     """Largest elementwise deviation between two unitaries, phase-blind.
 
     Returns max |U_a - e^{i phi} U_b| with e^{i phi} the phase of
-    tr(U_b^dagger U_a).  An operand is a circuit, a program (anything
-    with ``apply_to`` and ``n_qubits``), a rotation list, or a dense
-    unitary ``ndarray``.  The others build U from identity rows, evolved
-    in blocks of 2**15 amplitudes per call.  Both unitaries are held at
-    once, a 550 MiB peak at the 12-qubit cap.
+    tr(U_b^dagger U_a).  An operand is anything with ``apply_to`` and
+    ``n_qubits``, such as a ``Circuit``, or a dense unitary ``ndarray``;
+    the former build U from identity rows, evolved in blocks of 2**15
+    amplitudes per call.  Both unitaries are held at once, a 550 MiB
+    peak at the 12-qubit cap.
     """
     n, a = _operand(a)
     nb, b = _operand(b)

@@ -104,7 +104,7 @@ def check_quasienergy_spectrum(
     for ell in range(count):
         state = build_logical_eigenstate(layout, ell)
         evolved = state.copy()
-        program.apply_to(evolved)
+        program.circuit.apply_to(evolved)
         lam = state.inner(evolved)
         residual = float(
             np.linalg.norm(evolved.amplitudes - lam * state.amplitudes)

@@ -118,10 +118,10 @@ class ConfigKey:
 
     def check(self, value, chain: int):
         name = self.name.format(chain)
-        # 8.0 would pass the range test and fail later; True would count as 1.
-        if self.parse is int and value is not None and (
-            isinstance(value, bool) or not isinstance(value, numbers.Integral)
-        ):
+        # A value set in code takes its parser's type: 8.0 would pass an
+        # integer range, True count as 1, and "no" as a true error.signed.
+        typed = _TYPE_TESTS.get(self.parse)
+        if value is not None and typed is not None and not typed(value):
             raise ConfigError(f"{name}: expected {self.what}, got {value!r}")
         try:
             inside = value is None or self.accepts(value)
@@ -152,6 +152,15 @@ def _boolean(text: str) -> bool:
     import configparser
 
     return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+# The values each parser yields, by type; bool is no number here.
+_TYPE_TESTS = {
+    int: lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    _finite: lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    _boolean: lambda v: isinstance(v, (bool, np.bool_)),
+    str: lambda v: isinstance(v, str),
+}
 
 
 def _within(low, high, rule: str = "") -> tuple:
@@ -275,7 +284,7 @@ class ExperimentConfig:
     @property
     def signed_errors(self) -> bool:
         """Whether error fractions take a random sign (the default)."""
-        return self.error_signed is not False
+        return self.error_signed is None or bool(self.error_signed)
 
     def resolved_targets(self) -> tuple[float, ...]:
         if self.targets:
@@ -734,8 +743,12 @@ def run_experiment(
 ) -> RunRecord:
     """Execute the whole pipeline; optionally write CSV/JSON artifacts."""
     config.validate()
+    if not _TYPE_TESTS[int](workers):
+        raise ConfigError(f"workers: expected an integer, got {workers!r}")
     if workers < 1:
         raise ConfigError(f"workers: need at least 1, got {workers}")
+    if not (_TYPE_TESTS[_finite](max_seconds) and max_seconds > 0):
+        raise ConfigError(f"max_seconds: need a positive number, got {max_seconds!r}")
     # No more processes than jobs or usable cores; the pool forks all of
     # them at the first submit, and the output does not depend on them.
     workers = min(workers, config.realizations, usable_cores())

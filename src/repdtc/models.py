@@ -140,8 +140,8 @@ class Layer:
 class FloquetProgram:
     """One driving period as an ordered tuple of layers.
 
-    ``circuit`` is the period's ``pauli-layers`` ``Circuit``, built once;
-    ``apply_to`` runs it.
+    ``circuit`` is the period's ``pauli-layers`` ``Circuit``, built
+    once; the period runs as that circuit.
     """
 
     layout: ChainLayout
@@ -166,10 +166,6 @@ class FloquetProgram:
     @functools.cached_property
     def circuit(self) -> Circuit:
         return Circuit(self.n_qubits, tuple(self.all_rotations()))
-
-    def apply_to(self, state) -> None:
-        """Apply one full period in place."""
-        self.circuit.apply_to(state)
 
     def to_dict(self) -> dict:
         return {

@@ -16,9 +16,8 @@ import pytest
 from conftest import dense_cnot, dense_multi_cnot, phase_distance
 from repdtc import ChainLayout, FloquetProgram, StateVector, build_model
 from repdtc.compiler import (
-    decompose_i1,
-    decompose_i2,
-    decompose_i3,
+    Circuit,
+    decompose,
     lower_program,
     lower_to_native,
     verify_equivalence,
@@ -79,7 +78,7 @@ def test_criterion_1_ideal_logical_cycles():
                 layout.n_qubits, logical_basis_index(layout, start)
             )
             for k in range(1, period + 1):
-                program.apply_to(state)
+                program.circuit.apply_to(state)
                 want = StateVector.basis_state(
                     layout.n_qubits,
                     logical_basis_index(layout, (start - k) % period),
@@ -93,7 +92,7 @@ def test_criterion_1_ideal_logical_cycles():
             layout.n_qubits, logical_basis_index(layout, orbit[0])
         )
         for nxt in orbit[1:] + orbit[:1]:
-            program.apply_to(state)
+            program.circuit.apply_to(state)
             want = StateVector.basis_state(
                 layout.n_qubits, logical_basis_index(layout, nxt)
             )
@@ -138,7 +137,7 @@ def test_criterion_3_gate_decomposition_identities():
     dense = np.eye(1 << 8, dtype=complex)
     for site in range(4):
         dense = dense_cnot(8, site, 4 + site) @ dense
-    dev_cnot = verify_equivalence(list(layer.rotations), dense)
+    dev_cnot = verify_equivalence(Circuit(8, layer.rotations), dense)
     assert dev_cnot < 1e-12, f"CNOT layer deviation {dev_cnot}"
 
     # Transversal CCNOT layer = product of CCNOT gates (9 qubits).
@@ -147,7 +146,7 @@ def test_criterion_3_gate_decomposition_identities():
     dense = np.eye(1 << 9, dtype=complex)
     for site in range(3):
         dense = dense_multi_cnot(9, (site, 3 + site), 6 + site) @ dense
-    dev_ccnot = verify_equivalence(list(layer.rotations), dense)
+    dev_ccnot = verify_equivalence(Circuit(9, layer.rotations), dense)
     assert dev_ccnot < 1e-12, f"CCNOT layer deviation {dev_ccnot}"
 
     # The local lowering of a transversal CCNOT layer reproduces the layer.
@@ -155,7 +154,7 @@ def test_criterion_3_gate_decomposition_identities():
     layer = build_generalized_cnot_layer(layout, (0, 1), 2, np.array([1.0, 0.7]))
     transversal = FloquetProgram(layout, "u8", (layer,))
     local = lower_program(transversal, "local-gadgets")
-    dev_local = verify_equivalence(local, transversal)
+    dev_local = verify_equivalence(local, transversal.circuit)
     assert dev_local < 1e-10, f"local CCNOT deviation {dev_local}"
 
     # Conjugation gadgets, 50 random angles per family, 8 qubits.
@@ -164,14 +163,14 @@ def test_criterion_3_gate_decomposition_identities():
     zz_target = PauliString.from_ops(8, {0: "Z", 7: "Z"})
     dev_gadget = 0.0
     for theta in rng.uniform(-math.pi, math.pi, 50):
-        for build, target in (
-            (decompose_i1, run_target),
-            (decompose_i2, zx_target),
-            (decompose_i3, zz_target),
+        for kind, target in (
+            ("i1", run_target),
+            ("i2", zx_target),
+            ("i3", zz_target),
         ):
-            seq = build(target, theta)
+            seq = decompose(kind, target, theta)
             dev = verify_equivalence(
-                list(seq.rotations), [PauliRotation(target, theta)]
+                seq, Circuit(8, (PauliRotation(target, theta),))
             )
             dev_gadget = max(dev_gadget, dev)
     assert dev_gadget < 1e-10, f"gadget deviation {dev_gadget}"
@@ -183,7 +182,7 @@ def test_criterion_3_gate_decomposition_identities():
             theta = rng.uniform(-math.pi, math.pi)
             rot = PauliRotation(PauliString.from_ops(2, {0: pa, 1: pb}), theta)
             circuit = lower_to_native([rot], 2)
-            dev_native = max(dev_native, verify_equivalence(circuit, [rot]))
+            dev_native = max(dev_native, verify_equivalence(circuit, Circuit(2, (rot,))))
     assert dev_native < 1e-12, f"native letter-pair deviation {dev_native}"
 
     # Scale check: the same identities hold on 16-qubit states.
@@ -196,11 +195,11 @@ def test_criterion_3_gate_decomposition_identities():
         PauliString.from_ops(n, {0: "Z", n - 1: "Z"}),
     ]
     dev_16 = 0.0
-    for build, target in zip((decompose_i1, decompose_i2, decompose_i3), big_targets):
+    for kind, target in zip(("i1", "i2", "i3"), big_targets):
         theta = rng.uniform(-math.pi, math.pi)
         got = StateVector(n)
         got.amplitudes[:] = base
-        build(target, theta).apply_to(got)
+        decompose(kind, target, theta).apply_to(got)
         want = StateVector(n)
         want.amplitudes[:] = base
         want.apply_rotation(PauliRotation(target, theta))

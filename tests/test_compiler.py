@@ -27,10 +27,7 @@ from repdtc.compiler import (
     Circuit,
     CompilationError,
     ISwapRotation,
-    decompose_i1,
-    decompose_i2,
-    decompose_i3,
-    lower_program_local,
+    decompose,
     lower_rotation_local,
     lower_rotation_native,
     lower_to_native,
@@ -60,27 +57,27 @@ class TestGadgets:
     @pytest.mark.parametrize("theta", [0.3, math.pi / 8, -1.1])
     def test_i1_three_qubit_run(self, theta):
         target = PauliString.from_ops(3, {0: "Z", 1: "Z", 2: "X"})
-        seq = decompose_i1(target, theta)
+        seq = decompose("i1", target, theta)
         assert np.allclose(
             gadget_unitary(seq), target_unitary(target, theta), atol=1e-12
         )
 
     def test_i1_four_qubit_run(self):
         target = PauliString.from_ops(4, {0: "Z", 1: "Z", 2: "Z", 3: "X"})
-        seq = decompose_i1(target, math.pi / 8)
+        seq = decompose("i1", target, math.pi / 8)
         assert np.allclose(
             gadget_unitary(seq), target_unitary(target, math.pi / 8), atol=1e-12
         )
 
     def test_i1_two_qubits_is_bare_rotation(self):
         target = PauliString.from_ops(2, {0: "Z", 1: "X"})
-        seq = decompose_i1(target, 0.4)
+        seq = decompose("i1", target, 0.4)
         assert len(seq) == 1
         assert seq.rotations[0].angle == 0.4
 
     def test_i1_rejects_wrong_pattern(self):
         with pytest.raises(CompilationError):
-            decompose_i1(PauliString.from_ops(3, {0: "Z", 1: "X", 2: "X"}), 0.1)
+            decompose("i1", PauliString.from_ops(3, {0: "Z", 1: "X", 2: "X"}), 0.1)
 
     @pytest.mark.parametrize(
         "ops,theta",
@@ -89,20 +86,25 @@ class TestGadgets:
     def test_i2_long_range_zx(self, ops, theta):
         n = max(ops) + 1
         target = PauliString.from_ops(n, ops)
-        seq = decompose_i2(target, theta)
+        seq = decompose("i2", target, theta)
         assert np.allclose(
             gadget_unitary(seq), target_unitary(target, theta), atol=1e-12
         )
 
-    @pytest.mark.parametrize("decompose", [decompose_i1, decompose_i2, decompose_i3])
-    def test_identity_target_is_refused_by_name(self, decompose):
+    @pytest.mark.parametrize("kind", ["i1", "i2", "i3"], ids=lambda k: f"decompose_{k}")
+    def test_identity_target_is_refused_by_name(self, kind):
         target = PauliString.from_ops(4, {})
         with pytest.raises(CompilationError, match=f"got {re.escape(str(target))}$"):
-            decompose(target, 0.3)
+            decompose(kind, target, 0.3)
+
+    def test_unknown_kind_is_refused_naming_the_kinds(self):
+        target = PauliString.from_ops(3, {0: "Z", 2: "X"})
+        with pytest.raises(CompilationError, match=r"'i4'.*\('i1', 'i2', 'i3'\)"):
+            decompose("i4", target, 0.3)
 
     def test_i2_rejects_letters_in_gap(self):
         with pytest.raises(CompilationError):
-            decompose_i2(PauliString.from_ops(3, {0: "Z", 1: "Y", 2: "X"}), 0.1)
+            decompose("i2", PauliString.from_ops(3, {0: "Z", 1: "Y", 2: "X"}), 0.1)
 
     @pytest.mark.parametrize(
         "ops,theta",
@@ -111,25 +113,26 @@ class TestGadgets:
     def test_i3_long_range_zz(self, ops, theta):
         n = max(ops) + 1
         target = PauliString.from_ops(n, ops)
-        seq = decompose_i3(target, theta)
+        seq = decompose("i3", target, theta)
         assert np.allclose(
             gadget_unitary(seq), target_unitary(target, theta), atol=1e-12
         )
 
-    def test_i3_adjacent_is_bare_rotation(self):
-        seq = decompose_i3(PauliString.from_ops(2, {0: "Z", 1: "Z"}), 0.5)
-        assert len(seq) == 1
+    def test_i3_on_two_qubits_is_refused(self):
+        # A ZZ on neighbours is native; lower_rotation_local never walks it.
+        with pytest.raises(CompilationError, match="i3 pattern needs at least 3"):
+            decompose("i3", PauliString.from_ops(2, {0: "Z", 1: "Z"}), 0.5)
 
     def test_random_angles_all_families(self, rng):
         cases = [
-            (decompose_i1, {0: "Z", 1: "Z", 2: "X"}),
-            (decompose_i2, {0: "Z", 2: "X"}),
-            (decompose_i3, {0: "Z", 2: "Z"}),
+            ("i1", {0: "Z", 1: "Z", 2: "X"}),
+            ("i2", {0: "Z", 2: "X"}),
+            ("i3", {0: "Z", 2: "Z"}),
         ]
-        for fn, ops in cases:
+        for kind, ops in cases:
             target = PauliString.from_ops(3, ops)
             for theta in rng.normal(size=10):
-                seq = fn(target, float(theta))
+                seq = decompose(kind, target, float(theta))
                 assert np.allclose(
                     gadget_unitary(seq),
                     target_unitary(target, float(theta)),
@@ -138,7 +141,7 @@ class TestGadgets:
 
     def test_dressings_stay_quarter_turns(self):
         target = PauliString.from_ops(4, {0: "Z", 3: "Z"})
-        seq = decompose_i3(target, 0.123)
+        seq = decompose("i3", target, 0.123)
         core = len(seq) // 2
         for i, rot in enumerate(seq.rotations):
             if i == core:
@@ -148,7 +151,7 @@ class TestGadgets:
 
     def test_without_cores_collapses_to_identity(self):
         target = PauliString.from_ops(4, {0: "Z", 3: "X"})
-        seq = decompose_i2(target, 0.9)
+        seq = decompose("i2", target, 0.9)
         core = len(seq) // 2
 
         def apply_dressings(state):
@@ -162,7 +165,7 @@ class TestGadgets:
     def test_explicit_path_routing(self):
         # Z on 0 and X on 2 routed the long way around via qubit 1
         target = PauliString.from_ops(3, {0: "Z", 2: "X"})
-        seq = decompose_i2(target, 0.25, path=(0, 1, 2))
+        seq = decompose("i2", target, 0.25, path=(0, 1, 2))
         assert np.allclose(
             gadget_unitary(seq), target_unitary(target, 0.25), atol=1e-12
         )
@@ -229,10 +232,10 @@ class TestWalkPins:
     """Exact rotation lists of each walk, as the hand-written gadgets built them."""
 
     @pytest.mark.parametrize(
-        "build,ops,want",
+        "kind,ops,want",
         [
             (
-                decompose_i1,
+                "i1",
                 {0: "Z", 1: "Z", 2: "Z", 3: "X"},
                 [
                     ("+1 Y2 X3", Q),
@@ -243,7 +246,7 @@ class TestWalkPins:
                 ],
             ),
             (
-                decompose_i2,
+                "i2",
                 {0: "Z", 3: "X"},
                 [
                     ("+1 Z2 Z3", Q),
@@ -258,7 +261,7 @@ class TestWalkPins:
                 ],
             ),
             (
-                decompose_i3,
+                "i3",
                 {0: "Z", 3: "Z"},
                 [
                     ("+1 Z2 X3", -Q),
@@ -275,8 +278,8 @@ class TestWalkPins:
         ],
         ids=["i1", "i2", "i3"],
     )
-    def test_four_qubit_walks(self, build, ops, want):
-        assert pinned(build(PauliString.from_ops(4, ops), 0.3)) == want
+    def test_four_qubit_walks(self, kind, ops, want):
+        assert pinned(decompose(kind, PauliString.from_ops(4, ops), 0.3)) == want
 
     def test_ccnot_site_is_two_walks_and_commuting_rest(self):
         program = ccnot_program(ChainLayout(3, 1), np.ones(1))
@@ -349,26 +352,26 @@ class TestProgramLowering:
         program = build_model("u4", layout, ideal_model_params("u4", layout))
         local = lower_program(program, "local-gadgets")
         native = lower_program(program, "native-iswap")
-        assert verify_equivalence(program, local) < 1e-10
-        assert verify_equivalence(program, native) < 1e-10
+        assert verify_equivalence(program.circuit, local) < 1e-10
+        assert verify_equivalence(program.circuit, native) < 1e-10
 
     def test_u8_local_lowering_column_probe(self):
         layout = ChainLayout(3, 2)
         program = build_model("u8", layout, ideal_model_params("u8", layout))
-        local = lower_program_local(program)
-        assert verify_equivalence(program, local) < 1e-9
+        local = lower_program(program, "local-gadgets")
+        assert verify_equivalence(program.circuit, local) < 1e-9
 
     def test_u2n_n3_lowers(self):
         layout = ChainLayout(3, 2)
         program = build_model("u2n", layout, ideal_model_params("u2n", layout))
-        local = lower_program_local(program)
-        assert verify_equivalence(program, local) < 1e-9
+        local = lower_program(program, "local-gadgets")
+        assert verify_equivalence(program.circuit, local) < 1e-9
 
     def test_u2n_n4_has_no_local_lowering(self):
         layout = ChainLayout(4, 2)
         program = build_model("u2n", layout, ideal_model_params("u2n", layout))
         with pytest.raises(CompilationError):
-            lower_program_local(program)
+            lower_program(program, "local-gadgets")
 
     def test_unknown_level(self):
         layout = ChainLayout(2, 2)
@@ -403,9 +406,9 @@ class TestNativeLowering:
         rot = PauliRotation(PauliString.from_ops(3, {1: "Y"}), 0.2)
         assert lower_rotation_native(rot) == [rot]
 
-    def test_weight_zero_drops(self):
+    def test_weight_zero_passes_through(self):
         rot = PauliRotation(PauliString.from_ops(2, {}), 0.3)
-        assert lower_rotation_native(rot) == []
+        assert lower_rotation_native(rot) == [rot]
 
     def test_weight_three_refused(self):
         rot = PauliRotation(PauliString.from_ops(3, {0: "Z", 1: "Z", 2: "X"}), 0.3)
@@ -417,7 +420,7 @@ class TestNativeLowering:
         program = build_model("u4", layout, ideal_model_params("u4", layout))
         native = lower_program(program, "native-iswap")
         assert isinstance(native, Circuit)
-        assert verify_equivalence(program, native) < 1e-10
+        assert verify_equivalence(program.circuit, native) < 1e-10
 
     def test_iswap_count_is_two_per_entangler(self):
         rot = PauliRotation(PauliString.from_ops(2, {0: "Z", 1: "X"}), 0.3)
@@ -679,7 +682,10 @@ class TestLoweringProperty:
     def test_lowered_levels_match_the_program(self, model, data):
         program = data.draw(small_programs(model))
         for level in ("local-gadgets", "native-iswap"):
-            assert verify_equivalence(program, lower_program(program, level)) < 1e-10
+            assert (
+                verify_equivalence(program.circuit, lower_program(program, level))
+                < 1e-10
+            )
 
 
 class TestVerifyEquivalence:
@@ -731,41 +737,39 @@ class TestVerifyEquivalence:
 
     @pytest.mark.parametrize("shape", [(4, 8), (3, 3), (8,), (1, 1), (2, 2, 2)])
     def test_refuses_malformed_dense_operand(self, shape):
-        rotation = [PauliRotation(PauliString.from_ops(2, {0: "Z"}), 0.3)]
+        rotation = Circuit(2, (PauliRotation(PauliString.from_ops(2, {0: "Z"}), 0.3),))
         with pytest.raises(ValueError, match="dense operand"):
             verify_equivalence(np.ones(shape, dtype=complex), rotation)
 
     @pytest.mark.parametrize(
-        "other", [np.eye(8), [PauliRotation(PauliString.from_ops(3, {0: "Z"}), 0.3)]]
+        "other",
+        [np.eye(8), Circuit(3, (PauliRotation(PauliString.from_ops(3, {0: "Z"}), 0.3),))],
     )
     def test_refuses_mismatched_register_sizes(self, other):
-        rotation = [PauliRotation(PauliString.from_ops(2, {0: "Z"}), 0.3)]
+        rotation = Circuit(2, (PauliRotation(PauliString.from_ops(2, {0: "Z"}), 0.3),))
         with pytest.raises(ValueError, match="register sizes differ"):
             verify_equivalence(rotation, other)
         with pytest.raises(ValueError, match="register sizes differ"):
             verify_equivalence(np.eye(4), other)
 
-    def test_rotation_list_takes_its_size_from_a_pauli_rotation(self):
-        n = 3
-        iswap = ISwapRotation((0, 1), QUARTER)
-        rz = PauliRotation(PauliString.from_ops(n, {2: "Z"}), 0.3)
-        dense = dense_rotation(n, {2: "Z"}, 0.3) @ dense_iswap(n, 0, 1)
-        assert verify_equivalence([iswap, rz], dense) < 1e-12
-
-    @pytest.mark.parametrize("entries", [[], [ISwapRotation((0, 1), QUARTER)]])
-    def test_rotation_list_without_a_size_asks_for_a_circuit(self, entries):
-        with pytest.raises(ValueError, match="pass a Circuit"):
-            verify_equivalence(entries, np.eye(4))
+    @pytest.mark.parametrize(
+        "operand",
+        [[PauliRotation(PauliString.from_ops(2, {0: "Z"}), 0.3)], "circuit", None],
+        ids=["rotation-list", "str", "None"],
+    )
+    def test_refuses_an_operand_of_neither_kind(self, operand):
+        with pytest.raises(ValueError, match="or has apply_to and n_qubits"):
+            verify_equivalence(operand, np.eye(4))
 
     def test_refuses_large_register(self):
         layout = ChainLayout(2, 7)
         program = build_model("u4", layout, ideal_model_params("u4", layout))
         with pytest.raises(ValueError):
-            verify_equivalence(program, program)
+            verify_equivalence(program.circuit, program.circuit)
 
     def test_cap_holds_for_a_dense_operand(self):
         n = 13
         dense = np.broadcast_to(np.zeros((), dtype=complex), (1 << n, 1 << n))
-        rotation = [PauliRotation(PauliString.from_ops(n, {0: "Z"}), 0.3)]
+        rotation = Circuit(n, (PauliRotation(PauliString.from_ops(n, {0: "Z"}), 0.3),))
         with pytest.raises(ValueError, match="capped"):
             verify_equivalence(dense, rotation)

@@ -145,7 +145,7 @@ class TestPeriodTwoEigenstates:
         expected_scale = (-1j) ** 3 * cmath.exp(1j * float(couplings.sum()))
         for state, sign in ((plus, 1.0), (minus, -1.0)):
             evolved = state.copy()
-            program.apply_to(evolved)
+            program.circuit.apply_to(evolved)
             lam = state.inner(evolved)
             residual = float(
                 np.linalg.norm(evolved.amplitudes - lam * state.amplitudes)
@@ -161,7 +161,7 @@ class TestPeriodTwoEigenstates:
             program, _ = ideal_program("2t", layout, couplings=couplings, z_field=z)
             plus, _ = build_2t_eigenstates(layout, z)
             evolved = plus.copy()
-            program.apply_to(evolved)
+            program.circuit.apply_to(evolved)
             lams.append(plus.inner(evolved))
         assert abs(lams[0] - lams[1]) < RESIDUAL_TOL
 

@@ -114,9 +114,34 @@ class TestValidation:
     def test_numpy_integers_are_integers(self):
         replace(PRESETS["fig2a"], seed=np.int64(11), realizations=np.int32(2)).validate()
 
+    # Each of the first five used to pass validate(): True ran as 1.0 and
+    # "no" as signed.  A value set in code takes its parser's type.
+    @pytest.mark.parametrize(
+        "preset,field,value",
+        [("fig2a", "init_jitter", True), ("fig2a", "init_angle", True),
+         ("fig3", "alpha", True), ("fig5a", "error_signed", "no"),
+         ("fig2a", "name", 5), ("fig2a", "init_jitter", "0.1"),
+         ("fig5a", "error_signed", 1), ("fig2a", "noise_single", np.bool_(True))],
+    )
+    def test_value_of_another_type_is_refused(self, preset, field, value):
+        config = replace(PRESETS[preset], **{field: value})
+        key = CONFIG_KEYS[field].name
+        with pytest.raises(ConfigError, match=f"^{key}: expected .*, got {value!r}$"):
+            config.validate()
+
+    def test_numpy_scalars_take_their_python_types(self):
+        config = replace(
+            PRESETS["fig5a"],
+            init_jitter=np.float32(0.25),
+            init_angle=np.float64(0.5),
+            error_signed=np.False_,
+        )
+        config.validate()
+        assert config.signed_errors is False
+
     def test_value_the_range_test_cannot_compare_is_refused(self):
-        with pytest.raises(ConfigError, match="^experiment.init_jitter: must lie in"):
-            small_config(init_jitter="0.1").validate()
+        with pytest.raises(ConfigError, match="^experiment.targets: each must lie in"):
+            small_config(targets=("0.1",)).validate()
 
     def test_explicit_spec_mode_requirements(self):
         with pytest.raises(ConfigError):
@@ -386,6 +411,18 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="^workers: need at least 1, got 0$"):
             run_experiment(small_config(), workers=0)
 
+    # Each used to run, with the time guardrail off for NaN, or to end in
+    # a bare TypeError for "2".
+    @pytest.mark.parametrize(
+        "argument,value",
+        [("workers", "2"), ("workers", 2.5), ("workers", True), ("workers", None),
+         ("max_seconds", math.nan), ("max_seconds", 0.0), ("max_seconds", -1.0),
+         ("max_seconds", "60"), ("max_seconds", True)],
+    )
+    def test_bad_run_arguments_are_refused_by_name(self, argument, value):
+        with pytest.raises(ConfigError, match=f"^{argument}: "):
+            run_experiment(small_config(), **{argument: value})
+
     def test_record_structure_and_scores(self):
         cfg = small_config()
         record = run_experiment(cfg)
@@ -553,7 +590,7 @@ class TestBitExactFastPaths:
         assert np.array_equal(z, want)
         # The program's own period is its pauli-layers circuit.
         assert lower_program(program, "pauli-layers") is program.circuit
-        z = stroboscopic_run(program, start.copy(), 10)
+        z = stroboscopic_run(program.circuit, start.copy(), 10)
         uncompiled = Circuit(program.n_qubits, tuple(program.all_rotations()))
         want = evolve_entry_by_entry(uncompiled, start, 10, None, 0.0, 0.0)
         assert np.array_equal(z, want)

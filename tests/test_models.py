@@ -250,7 +250,7 @@ def logical_cycle(model, layout, order):
         layout.n_qubits, logical_basis_index(layout, order[0])
     )
     for nxt in order[1:] + order[:1]:
-        program.apply_to(state)
+        program.circuit.apply_to(state)
         want = StateVector.basis_state(
             layout.n_qubits, logical_basis_index(layout, nxt)
         )
@@ -279,7 +279,7 @@ class TestLogicalCycles:
                 layout.n_qubits, logical_basis_index(layout, start)
             )
             for k in range(1, 9):
-                program.apply_to(state)
+                program.circuit.apply_to(state)
                 want = StateVector.basis_state(
                     layout.n_qubits, logical_basis_index(layout, (start - k) % 8)
                 )
@@ -296,7 +296,7 @@ class TestLogicalCycles:
                 layout.n_qubits, logical_basis_index(layout, j)
             )
             for k in range(1, period + 1):
-                program.apply_to(state)
+                program.circuit.apply_to(state)
                 want = StateVector.basis_state(
                     layout.n_qubits, logical_basis_index(layout, (j - k) % period)
                 )
@@ -311,8 +311,8 @@ class TestLogicalCycles:
         layout = ChainLayout(2, 2)
         u4 = build_model("u4", layout, ideal_model_params("u4", layout))
         u2n = build_model("u2n", layout, ideal_model_params("u2n", layout))
-        a = circuit_unitary(u4.apply_to, 4)
-        b = circuit_unitary(u2n.apply_to, 4)
+        a = circuit_unitary(u4.circuit.apply_to, 4)
+        b = circuit_unitary(u2n.circuit.apply_to, 4)
         assert phase_distance(a, b) < 1e-10
 
     def test_2t_flips_logical_state(self):
@@ -320,9 +320,9 @@ class TestLogicalCycles:
         params = ideal_model_params("2t", layout)
         program = build_model("2t", layout, params)
         state = StateVector.basis_state(3, 0)
-        program.apply_to(state)
+        program.circuit.apply_to(state)
         assert state.fidelity(StateVector.basis_state(3, 7)) >= 1 - 1e-10
-        program.apply_to(state)
+        program.circuit.apply_to(state)
         assert state.fidelity(StateVector.basis_state(3, 0)) >= 1 - 1e-10
 
 
