@@ -49,22 +49,20 @@ def _cmd_run(args) -> int:
         print(f"error: --threads: need at least 1, got {args.threads}", file=sys.stderr)
         return 2
     try:
-        config = resolve_config(args.source)
         config = apply_overrides(
-            config,
+            resolve_config(args.source),
             seed=args.seed,
             realizations=args.realizations,
             cycles=args.cycles,
             lowering=args.lowering,
         )
-        config.validate()
         print(
             f"{config.name}: {config.model} on {config.chains}x{config.sites} "
             f"({config.n_qubits} qubits), {config.realizations} realizations x "
             f"{config.cycles} cycles, seed {config.seed}"
         )
         record = run_experiment(config, out_dir=args.out, workers=args.threads)
-    except (ConfigError, CapacityError, KeyError) as exc:
+    except (ConfigError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     chain = config.readout()
@@ -95,8 +93,8 @@ def _cmd_list() -> int:
 def _cmd_describe(args) -> int:
     try:
         print(describe(args.preset))
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
 

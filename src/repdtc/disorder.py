@@ -102,7 +102,8 @@ def sample_model_params(
     angles come either from explicit intervals (``x_spec``,
     ``cnot_spec``, ``scale_spec``) or, when ``error_fraction`` is set,
     from ideal values scaled by (1 + eps) with |eps| drawn from that
-    [low, high] interval, independently per parameter.
+    [low, high] interval, independently per parameter.  A valid config
+    holds one of the two for every angle the model reads.
     """
     layout = config.layout
     spec = model_spec(config.model)
@@ -112,7 +113,7 @@ def sample_model_params(
         purpose: str, ideal: float, interval: DisorderSpec | None
     ) -> np.ndarray:
         """One angle per site: the ideal value scaled by (1 + eps) in
-        error-fraction mode, else a draw from ``interval``, else ideal."""
+        error-fraction mode, else a draw from ``interval``."""
         values = np.empty(sites)
         for j in range(sites):
             address = f"{purpose}/s{j}"
@@ -121,10 +122,8 @@ def sample_model_params(
                 stream = plan.stream(realization, address)
                 eps = sample_error_fraction(stream, low, high, config.signed_errors)
                 values[j] = ideal * (1.0 + eps)
-            elif interval is not None:
-                values[j] = interval.draw(plan, realization, address)
             else:
-                values[j] = ideal
+                values[j] = interval.draw(plan, realization, address)
         return values
 
     couplings = long_range = None
@@ -143,7 +142,7 @@ def sample_model_params(
                 couplings[c][b] = coupling.draw(plan, realization, f"J/c{c}/b{b}")
 
     z_field = None
-    if spec.z_field and config.z_spec is not None:
+    if config.z_spec is not None:
         z_field = np.array(
             [
                 config.z_spec.draw(plan, realization, f"hz/s{j}")

@@ -10,9 +10,9 @@ configs reproduce byte-identical CSV outputs for any worker count.
 ``CONFIG_KEYS`` is the one place the rules of a config key live: its
 ``section.key``, the ``ExperimentConfig`` field it fills, its parser, its
 domain and its file default.  ``load_config_file`` reads through it,
-``ExperimentConfig.validate`` checks every field against it before the
-rules that tie fields together, and ``apply_overrides`` parses
-``REPDTC_SEED`` with its seed entry.
+``apply_overrides`` parses ``REPDTC_SEED`` with its seed entry, and an
+``ExperimentConfig`` checks every field against it when it is made, so a
+config that exists is valid and nothing downstream checks it again.
 """
 
 from __future__ import annotations
@@ -97,9 +97,9 @@ class ConfigKey:
     ``name`` is ``section.key`` (``{}`` is the chain index of a per-chain
     key).  ``parse`` turns its text into the value of ``field``; ``what``
     says how the text must look.  ``accepts`` tests the value and
-    ``rule`` says the same in words; None (key left out) always passes.
-    ``default``, a value or a function of the file path, is the file
-    default of a field the dataclass gives none.
+    ``rule`` says the same in words; None passes only for a field whose
+    dataclass default is None.  ``default``, a value or a function of
+    the file path, is the file default of a field the dataclass gives none.
     """
 
     name: str
@@ -118,16 +118,13 @@ class ConfigKey:
 
     def check(self, value, chain: int):
         name = self.name.format(chain)
+        if value is None and self.field in _OPTIONAL:
+            return value
         # A value set in code takes its parser's type: 8.0 would pass an
         # integer range, True count as 1, and "no" as a true error.signed.
-        typed = _TYPE_TESTS.get(self.parse)
-        if value is not None and typed is not None and not typed(value):
+        if not _TYPE_TESTS[self.parse](value):
             raise ConfigError(f"{name}: expected {self.what}, got {value!r}")
-        try:
-            inside = value is None or self.accepts(value)
-        except TypeError:
-            inside = False
-        if not inside:
+        if not self.accepts(value):
             raise ConfigError(f"{name}: {self.rule}, got {value!r}")
         return value
 
@@ -146,6 +143,14 @@ def _pair(text: str) -> tuple[float, float]:
     return _finite(parts[0]), _finite(parts[1])
 
 
+def _spec(text: str) -> DisorderSpec:
+    return DisorderSpec(*_pair(text))
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(_finite(t) for t in text.split(",") if t.strip())
+
+
 def _boolean(text: str) -> bool:
     # configparser's words for true and false; imported on first use, as
     # a run from a preset reads no config file.
@@ -154,12 +159,19 @@ def _boolean(text: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
 
 
+def _reals(*values) -> bool:
+    return all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)
+
+
 # The values each parser yields, by type; bool is no number here.
 _TYPE_TESTS = {
     int: lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
-    _finite: lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    _finite: _reals,
     _boolean: lambda v: isinstance(v, (bool, np.bool_)),
     str: lambda v: isinstance(v, str),
+    _spec: lambda v: isinstance(v, DisorderSpec) and _reals(v.mean, v.half_width),
+    _pair: lambda v: isinstance(v, tuple) and len(v) == 2 and _reals(*v),
+    _floats: lambda v: isinstance(v, tuple) and _reals(*v),
 }
 
 
@@ -182,8 +194,8 @@ _INT = (int, "an integer")
 _FLOAT = (_finite, "a finite number")
 _TEXT = (str, "text")
 _SPEC = (
-    lambda text: DisorderSpec(*_pair(text)),
-    "two finite numbers 'mean, half_width' with half_width >= 0",
+    _spec,
+    "two finite numbers 'mean, half_width >= 0' (a DisorderSpec in code)",
     lambda spec: -_SPEC_BOUND <= spec.low <= spec.high <= _SPEC_BOUND,
     f"mean +- half_width must lie in [{-_SPEC_BOUND:g}, {_SPEC_BOUND:g}]",
 )
@@ -227,9 +239,8 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
         ConfigKey("noise.iswap", "noise_iswap", *_FLOAT, *_within(0, MAX_ISWAP_NOISE)),
         ConfigKey("experiment.shots", "shots", *_INT, *_within(1, _COUNT_MAX, _SHOTS)),
         ConfigKey("experiment.measure_qubit", "measure_qubit", *_INT),
-        ConfigKey("experiment.targets", "targets",
-                  lambda text: tuple(_finite(t) for t in text.split(",") if t.strip()),
-                  "finite numbers separated by commas",
+        ConfigKey("experiment.targets", "targets", _floats,
+                  "finite numbers separated by commas (a tuple in code)",
                   lambda omegas: all(0 < omega < 2 * math.pi for omega in omegas),
                   "each must lie in (0, 2*pi)"),
         ConfigKey("experiment.spectrum_average", "spectrum_average", *_TEXT,
@@ -242,10 +253,12 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
 class ExperimentConfig:
     """Everything needed to reproduce one experiment bit-exactly.
 
-    ``CONFIG_KEYS`` declares each field's key and domain.  Long-range
-    models read ``alpha``, and take ``models.DEFAULT_ALPHA`` for None.
-    ``error_signed`` is None when left out, so that setting it without
-    ``error_fraction``, which alone reads it, can be refused."""
+    It is checked when it is made, so ``replace`` raises too: each field
+    against its ``CONFIG_KEYS`` entry (None only where the default is
+    None), then the cross-field rules.  Long-range models read ``alpha``,
+    and take ``models.DEFAULT_ALPHA`` for None.  ``error_signed`` is None
+    when left out, so that setting it without ``error_fraction``, which
+    alone reads it, can be refused."""
 
     name: str
     model: str
@@ -272,6 +285,9 @@ class ExperimentConfig:
     targets: tuple[float, ...] = ()
     spectrum_average: str = "series"
     description: str = ""
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def layout(self) -> ChainLayout:
@@ -303,9 +319,11 @@ class ExperimentConfig:
         return MODEL_SPECS[self.model].readout(self.chains)
 
     def validate(self) -> None:
-        """Each field against its key's domain, then the cross-field rules."""
+        """Each field against its key, then the cross-field rules; run when made."""
         for key in CONFIG_KEYS.values():
             value = getattr(self, key.field)
+            if "{}" in key.name and not isinstance(value, tuple):
+                raise ConfigError(f"{key.field}: expected a tuple of specs, got {value!r}")
             for chain, entry in enumerate(value) if "{}" in key.name else [(0, value)]:
                 key.check(entry, chain)
         spec = MODEL_SPECS[self.model]
@@ -392,6 +410,9 @@ class ExperimentConfig:
             sign = "signed" if self.signed_errors else "one-sided"
             parts.append(f"error=({low:g},{high:g},{sign})")
         return " ".join(parts)
+
+
+_OPTIONAL = {f.name for f in fields(ExperimentConfig) if f.default is None}
 
 
 # -- presets -----------------------------------------------------------------
@@ -542,7 +563,7 @@ def list_presets() -> list[str]:
 
 def describe(name: str) -> str:
     if name not in PRESETS:
-        raise KeyError(
+        raise ConfigError(
             f"unknown preset {name!r}; valid names: {', '.join(list_presets())}"
         )
     cfg = PRESETS[name]
@@ -576,10 +597,7 @@ def describe(name: str) -> str:
 
 
 def _build_realization(config: ExperimentConfig, plan: SeedPlan, realization: int):
-    """(program, circuit) of one realization: validate, sample, build,
-    lower.  ``run_realization`` and ``estimate_seconds`` are public, so
-    the config is checked here, where it becomes parameters."""
-    config.validate()
+    """(program, circuit) of one realization: sample, build, lower."""
     params = sample_model_params(config, plan, realization)
     program = build_model(config.model, config.layout, params)
     return program, lower_program(program, config.lowering)
@@ -742,7 +760,6 @@ def run_experiment(
     max_seconds: float = MAX_ESTIMATED_SECONDS,
 ) -> RunRecord:
     """Execute the whole pipeline; optionally write CSV/JSON artifacts."""
-    config.validate()
     if not _TYPE_TESTS[int](workers):
         raise ConfigError(f"workers: expected an integer, got {workers!r}")
     if workers < 1:
@@ -792,30 +809,18 @@ def run_experiment(
     else:
         all_rows = [_worker(job) for job in jobs]
 
-    series = [
-        TimeSeries(rows[0], {"realization": r})
-        for r, rows in enumerate(all_rows)
-    ]
-    mean_series = average_series(series)
-    chain = config.readout()
-    if chain is None:
-        readout_list = series
-        readout_series = mean_series
-    else:
-        readout_list = [
-            TimeSeries(rows[1], {"realization": r, "chain": chain})
-            for r, rows in enumerate(all_rows)
-        ]
-        readout_series = average_series(readout_list)
-        readout_series.meta["chain"] = chain
-    if config.spectrum_average == "spectra":
-        spectrum = average_spectra(power_spectrum(s) for s in series)
-        readout_spectrum = average_spectra(
-            power_spectrum(s) for s in readout_list
-        )
-    else:
-        spectrum = power_spectrum(mean_series)
-        readout_spectrum = power_spectrum(readout_series)
+    def reduce(row: int):
+        """(series per realization, their mean, the spectrum) of one row."""
+        runs = [TimeSeries(rows[row]) for rows in all_rows]
+        mean = average_series(runs)
+        if config.spectrum_average == "spectra":
+            return runs, mean, average_spectra(power_spectrum(s) for s in runs)
+        return runs, mean, power_spectrum(mean)
+
+    series, mean_series, spectrum = reduce(0)
+    readout_series, readout_spectrum = mean_series, spectrum
+    if config.readout() is not None:
+        _, readout_series, readout_spectrum = reduce(1)
 
     targets = config.resolved_targets()
     target_bins = sorted({readout_spectrum.bin_of(omega) for omega in targets})
@@ -976,9 +981,7 @@ def load_config_file(path: str | os.PathLike) -> ExperimentConfig:
             if name not in known:
                 in_section = (k for k in known if k.startswith(f"{section}."))
                 raise _unknown("key", name, in_section)
-    config = ExperimentConfig(**values)
-    config.validate()
-    return config
+    return ExperimentConfig(**values)
 
 
 def resolve_config(source: str) -> ExperimentConfig:

@@ -10,7 +10,7 @@ recorded but stays out of the Fourier window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class TimeSeries:
     """Per-cycle magnetization samples; values[0] is the initial state."""
 
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -203,7 +202,7 @@ def average_series(series_list) -> TimeSeries:
     total = np.zeros_like(series_list[0].values)
     for s in series_list:
         total += s.values
-    return TimeSeries(total / len(series_list), {"averaged_over": len(series_list)})
+    return TimeSeries(total / len(series_list))
 
 
 def average_spectra(spectra) -> Spectrum:

@@ -85,7 +85,9 @@ class TestErrorFraction:
 
 
 def u4_disorder(**kw):
-    """A 2x4 u4 run description; only its parameter fields matter here."""
+    """A 2x4 u4 run description; only its parameter fields matter here.
+    Without an error fraction, gate angles come from zero-width specs at
+    their ideal values."""
     base = dict(
         name="disorder",
         model="u4",
@@ -96,6 +98,8 @@ def u4_disorder(**kw):
         seed=0,
         coupling_specs=(DisorderSpec(1.5, 0.5), DisorderSpec(2.5, 0.5)),
     )
+    if "error_fraction" not in kw:
+        base.update(x_spec=DisorderSpec(IDEAL_X), cnot_spec=DisorderSpec(IDEAL_ZX))
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -122,14 +126,6 @@ class TestSampleModelParams:
             assert np.all(params.couplings[0] <= 2.0)
             assert np.all(params.couplings[1] >= 2.0)
             assert np.all(params.couplings[1] <= 3.0)
-
-    def test_ideal_fallback_without_specs(self):
-        params = sample_model_params(u4_disorder(), SeedPlan(11), 0)
-        assert np.allclose(params.x_field, IDEAL_X)
-        cp = params.cnots[0]
-        assert np.allclose(cp.zx, IDEAL_ZX)
-        assert np.allclose(cp.z, -IDEAL_ZX)
-        assert np.allclose(cp.x, -IDEAL_ZX)
 
     def test_cnot_components_draw_independently(self):
         disorder = u4_disorder(cnot_spec=DisorderSpec(0.925 * IDEAL_ZX, 0.025 * IDEAL_ZX))
@@ -177,6 +173,7 @@ class TestSampleModelParams:
             model="u3",
             chains=3,
             sites=2,
+            cycles=6,
             coupling_specs=tuple(DisorderSpec(1.0, 0.5) for _ in range(3)),
         )
         params = sample_model_params(disorder, SeedPlan(1), 0)
@@ -187,6 +184,9 @@ class TestSampleModelParams:
             model="u2n",
             chains=4,
             sites=2,
+            cycles=16,
+            cnot_spec=None,
+            scale_spec=DisorderSpec(1.0),
             coupling_specs=tuple(DisorderSpec(1.0, 0.5) for _ in range(4)),
         )
         params = sample_model_params(disorder, SeedPlan(1), 0)

@@ -107,9 +107,8 @@ class TestValidation:
          ("shots", 10.0), ("chains", "2")],
     )
     def test_non_integer_in_integer_field_is_refused(self, field, value):
-        config = replace(PRESETS["fig2a"], **{field: value})
         with pytest.raises(ConfigError, match=f"^experiment.{field}: expected an integer"):
-            config.validate()
+            replace(PRESETS["fig2a"], **{field: value})
 
     def test_numpy_integers_are_integers(self):
         replace(PRESETS["fig2a"], seed=np.int64(11), realizations=np.int32(2)).validate()
@@ -124,10 +123,9 @@ class TestValidation:
          ("fig5a", "error_signed", 1), ("fig2a", "noise_single", np.bool_(True))],
     )
     def test_value_of_another_type_is_refused(self, preset, field, value):
-        config = replace(PRESETS[preset], **{field: value})
         key = CONFIG_KEYS[field].name
         with pytest.raises(ConfigError, match=f"^{key}: expected .*, got {value!r}$"):
-            config.validate()
+            replace(PRESETS[preset], **{field: value})
 
     def test_numpy_scalars_take_their_python_types(self):
         config = replace(
@@ -140,8 +138,8 @@ class TestValidation:
         assert config.signed_errors is False
 
     def test_value_the_range_test_cannot_compare_is_refused(self):
-        with pytest.raises(ConfigError, match="^experiment.targets: each must lie in"):
-            small_config(targets=("0.1",)).validate()
+        with pytest.raises(ConfigError, match="^experiment.targets: expected"):
+            small_config(targets=("0.1",))
 
     def test_explicit_spec_mode_requirements(self):
         with pytest.raises(ConfigError):
@@ -154,7 +152,7 @@ class TestValidation:
             ).validate()
 
     def test_scale_spec_required_for_u8(self):
-        cfg = small_config(
+        u8 = dict(
             model="u8",
             chains=3,
             cycles=32,
@@ -164,8 +162,8 @@ class TestValidation:
             cnot_spec=DisorderSpec(math.pi / 4, 0.0),
         )
         with pytest.raises(ConfigError):
-            cfg.validate()
-        replace(cfg, scale_spec=DisorderSpec(1.0, 0.0)).validate()
+            small_config(**u8)
+        small_config(**u8, scale_spec=DisorderSpec(1.0, 0.0)).validate()
 
     def test_unused_gate_specs_are_rejected(self):
         # Sections whose parameters each model never reads.
@@ -196,28 +194,26 @@ class TestValidation:
                 ("scale", "scale_spec"),
                 ("z_field", "z_spec"),
             ):
-                config = replace(base, **{field: spec})
                 if section in sections:
                     with pytest.raises(ConfigError, match=f"^{section}:"):
-                        config.validate()
+                        replace(base, **{field: spec})
                 else:
-                    config.validate()
+                    replace(base, **{field: spec}).validate()
         # Error-fraction mode draws the scales itself, so a scale spec
         # beside it would be ignored.
         with pytest.raises(ConfigError, match="^error_fraction:"):
             replace(PRESETS["fig5a"], scale_spec=spec).validate()
 
-    def test_realization_pipeline_validates(self):
-        bad = small_config(coupling_specs=(DisorderSpec(1.5, 0.5),))
-        with pytest.raises(ConfigError, match="couplings"):
-            run_realization(bad, 0)
-        with pytest.raises(ConfigError, match="couplings"):
-            estimate_seconds(bad)
+    def test_invalid_config_cannot_be_made(self):
+        # So no run_realization or estimate_seconds call ever sees one.
+        with pytest.raises(ConfigError, match="^couplings: need one spec per chain"):
+            small_config(coupling_specs=(DisorderSpec(1.5, 0.5),))
+        with pytest.raises(ConfigError, match="^couplings: need one spec per chain"):
+            replace(small_config(), coupling_specs=(DisorderSpec(1.5, 0.5),))
 
     def test_capacity_error_past_qubit_limit(self):
-        cfg = small_config(sites=13)
         with pytest.raises(CapacityError):
-            cfg.validate()
+            small_config(sites=13)
 
     def test_target_grid_commensurability(self):
         small_config(cycles=24).validate()
@@ -286,7 +282,7 @@ class TestPresets:
         assert "seed=11" in text
 
     def test_describe_unknown_preset(self):
-        with pytest.raises(KeyError) as err:
+        with pytest.raises(ConfigError) as err:
             describe("fig9")
         assert "fig2a" in str(err.value)
 
@@ -438,7 +434,7 @@ class TestRunExperiment:
         )
         assert len(record.argmax_bins) == 2
         assert all(1 <= k < cfg.cycles for k in record.argmax_bins)
-        assert record.readout_series.meta["chain"] == 1
+        assert record.to_dict()["readout_chain"] == 1
         assert record.program_summary["ops_per_period"] > 0
         assert record.estimate_seconds == estimate_seconds(cfg)
         assert record.to_dict()["estimate_seconds"] == record.estimate_seconds
@@ -473,7 +469,7 @@ class TestRunExperiment:
         if chain is None:
             assert one.readout_series is one.mean_series
         else:
-            assert one.readout_series.meta["chain"] == chain
+            assert one.to_dict()["readout_chain"] == chain
             assert not np.array_equal(
                 one.readout_series.values, one.mean_series.values
             )
@@ -1080,3 +1076,78 @@ class TestConfigFuzz:
                     names.add(f"{section}.{line.split(' = ')[0]}")
             names |= {name.split(".")[0] for name in KNOWN_KEYS}
             assert message[len("error: ") :].split(":")[0] in names, message
+
+
+# Values of a wrong shape for one field or another: bool, text, None,
+# NaN, +-inf, numpy scalars, tuples of the wrong length, and plain
+# tuples, lists and specs of the wrong kind where specs belong.  Some are
+# valid for some fields, so a case may also run.
+WRONG_SHAPES = [
+    True, False, np.bool_(False), "2", "", None, math.nan, math.inf, -math.inf,
+    np.int64(2), np.int32(-1), np.float64(0.5), np.float32(math.nan),
+    (), (0.1,), (0.1, 0.2, 0.3), (1.0, 0.1), ((1.5, 0.5), (2.5, 0.5)),
+    [0.05, 0.1], [DisorderSpec(1.5, 0.5)] * 2, (DisorderSpec(1.0),) * 3,
+    DisorderSpec(1.0, 0.1), DisorderSpec(True), DisorderSpec(math.nan, 0.1),
+]
+# What a message may start with: a key, a field or a section.
+CONFIG_NAMES = (
+    KNOWN_KEYS
+    | {key.field for key in CONFIG_KEYS.values()}
+    | {name.split(".")[0] for name in KNOWN_KEYS}
+)
+
+
+class TestConfigIsCheckedWhenMade:
+    @pytest.mark.parametrize("field", sorted(CONFIG_KEYS))
+    @settings(max_examples=60)
+    @given(
+        preset=st.sampled_from(["fig2a", "fig5a", "fig4-smoke"]),
+        value=st.sampled_from(WRONG_SHAPES),
+    )
+    def test_any_value_runs_or_names_a_key(self, field, preset, value):
+        try:
+            config = replace(
+                PRESETS[preset], **{"realizations": 2, "cycles": 8, field: value}
+            )
+            record = run_experiment(config)
+        except (ConfigError, CapacityError) as exc:
+            assert str(exc).split(":")[0] in CONFIG_NAMES, exc
+            return
+        assert len(record.series) == config.realizations
+        assert np.isfinite(record.mean_series.values).all()
+
+    # Each was accepted when made: the first six and the last two failed
+    # later in a raw KeyError, TypeError, ValueError or AttributeError,
+    # or ran, and (0.1,) raised IndexError.
+    @pytest.mark.parametrize(
+        "preset,field,value",
+        [("fig2a", "model", None), ("fig2a", "cycles", None),
+         ("fig2a", "init_angle", None), ("fig2a", "lowering", None),
+         ("fig2a", "spectrum_average", None), ("fig2a", "name", None),
+         ("fig5a", "error_fraction", (0.1,)), ("fig2a", "x_spec", (1.0, 0.1)),
+         ("fig2a", "coupling_specs", ((1.5, 0.5), (2.5, 0.5)))],
+    )
+    def test_probe_is_refused_by_its_key(self, preset, field, value):
+        key = CONFIG_KEYS[field].name.format(0)
+        with pytest.raises(ConfigError, match=f"^{key}: expected "):
+            replace(PRESETS[preset], **{field: value})
+
+    def test_none_passes_only_where_the_default_is_none(self):
+        config = replace(PRESETS["fig5a"], alpha=None, shots=None, measure_qubit=None)
+        assert config == PRESETS["fig5a"]
+        with pytest.raises(ConfigError, match="^coupling_specs: expected a tuple"):
+            replace(config, coupling_specs=None)
+        with pytest.raises(ConfigError, match="^coupling_specs: expected a tuple"):
+            replace(config, coupling_specs=list(config.coupling_specs))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_never_checks_a_made_config_again(self, monkeypatch, workers):
+        config = small_config(sites=2, cycles=16)
+
+        def refuse(self):
+            raise AssertionError("a made config was checked again")
+
+        # Pool workers fork from here, so they inherit the patch.
+        monkeypatch.setattr(ExperimentConfig, "validate", refuse)
+        record = run_experiment(config, workers=workers)
+        assert len(record.series) == config.realizations == 3

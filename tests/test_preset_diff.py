@@ -1,7 +1,8 @@
-"""The CSV comparison and summary of tools/preset_diff.py, on synthetic
-files.  No test here runs a preset."""
+"""The CSV, record.json and verify-output comparisons and the summary of
+tools/preset_diff.py, on synthetic files.  No test here runs a preset."""
 
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
@@ -93,3 +94,45 @@ def test_summary_counts_files_and_takes_the_largest_gap():
 def test_presets_are_the_first_word_of_each_listed_line():
     listing = "fig2a        Two size-4 chains.\nideal-u4     Zero disorder.\n\n"
     assert preset_diff._presets(listing) == ["fig2a", "ideal-u4"]
+
+
+def record(**values):
+    """A record.json with a wall time and the given keys."""
+    return json.dumps({"wall_seconds": 1.5, "name": "x", **values}).encode()
+
+
+def test_records_that_differ_only_in_wall_time_are_equal():
+    parent = record(score=0.25, bins=[6, 18])
+    change = record(score=0.25, bins=[6, 18], wall_seconds=9.0)
+    got = preset_diff.compare_records(parent, change)
+    assert got == {"equal": True, "differ": []}
+
+
+def test_record_keys_that_differ_or_one_side_lacks_are_named():
+    parent = record(score=0.25, bins=[6, 18], program={"ops": 22}, gone=None)
+    change = record(score=0.5, bins=[6, 18], program={"ops": 23}, added=1)
+    got = preset_diff.compare_records(parent, change)
+    assert got == {"equal": False, "differ": ["added", "gone", "program", "score"]}
+
+
+def test_record_nan_equals_nan_and_key_order_does_not_matter():
+    parent = b'{"score": NaN, "program": {"a": 1, "b": 2}, "wall_seconds": 1}'
+    change = b'{"program": {"b": 2, "a": 1}, "score": NaN, "wall_seconds": 2}'
+    assert preset_diff.compare_records(parent, change)["equal"] is True
+
+
+def test_verify_lines_that_differ_are_listed_with_their_numbers():
+    parent = "PASS  a: 1e-16\nPASS  b: 2e-16\nverify: all checks passed\n"
+    assert preset_diff.compare_lines(parent, parent) == {"equal": True, "differ": []}
+    change = "PASS  a: 1e-16\nFAIL  b: 0.5\nverify: FAILURES above\nextra\n"
+    got = preset_diff.compare_lines(parent, change)
+    assert got["equal"] is False
+    assert got["differ"] == [
+        {"line": 2, "parent": "PASS  b: 2e-16", "change": "FAIL  b: 0.5"},
+        {
+            "line": 3,
+            "parent": "verify: all checks passed",
+            "change": "verify: FAILURES above",
+        },
+        {"line": 4, "parent": None, "change": "extra"},
+    ]

@@ -13,17 +13,22 @@ preset of the change's ``repdtc list`` runs once as ``repdtc run PRESET
 ``--realizations 2 --cycles 24`` for a quick run.  Per preset and file
 (``series.csv``, ``spectrum.csv``) the JSON says whether the sha256 of the
 two files is the same, the largest |difference| of the values the two
-files hold, field by field, and the line and row where it lies.  One more
-pair of fig4-analog runs in the change's copy, under
-``OPENBLAS_NUM_THREADS`` 1 and 2, checks that the BLAS thread count moves
-no byte.  The exit status is 0 when every file pair is byte-identical,
-else 1.
+files hold, field by field, and the line and row where it lies.  Per
+preset it also says whether the two ``record.json`` files hold the same
+values, ``wall_seconds`` aside, or else which top-level keys differ; and
+once per side it runs ``repdtc verify`` and says whether the two outputs
+are the same, or else which lines differ.  One more pair of fig4-analog
+runs in the change's copy, under ``OPENBLAS_NUM_THREADS`` 1 and 2, checks
+that the BLAS thread count moves no byte.  The exit status is 0 when
+every CSV file pair is byte-identical, else 1; records and verify output
+are reported, not gated.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -100,13 +105,41 @@ def compare(parent: bytes, change: bytes) -> dict:
     return out
 
 
+def compare_records(parent: bytes, change: bytes) -> dict:
+    """Whether two record.json files hold the same values, ``wall_seconds``
+    aside, and the top-level keys whose values differ or that only one
+    file holds."""
+    a, b = json.loads(parent), json.loads(change)
+
+    def text(record: dict, key: str):
+        # As text, so that NaN equals NaN and a missing key differs from null.
+        return json.dumps(record[key], sort_keys=True) if key in record else None
+
+    keys = (a.keys() | b.keys()) - {"wall_seconds"}
+    differ = sorted(key for key in keys if text(a, key) != text(b, key))
+    return {"equal": not differ, "differ": differ}
+
+
+def compare_lines(parent: str, change: str) -> dict:
+    """Whether two outputs are the same, and each line where they are not
+    (None on the side that has no such line)."""
+    pairs = itertools.zip_longest(parent.splitlines(), change.splitlines())
+    differ = [
+        {"line": number, "parent": a, "change": b}
+        for number, (a, b) in enumerate(pairs, 1)
+        if a != b
+    ]
+    return {"equal": not differ, "differ": differ}
+
+
 def _presets(listing: str) -> list[str]:
     """Preset names from ``repdtc list`` output: the first word of a line."""
     return [line.split()[0] for line in listing.splitlines() if line.strip()]
 
 
-def _repdtc(copy: Path, args: list[str], env: dict | None = None) -> str:
-    """stdout of ``python -m repdtc.cli ARGS`` on the sources of ``copy``."""
+def _repdtc(copy: Path, args: list[str], env: dict | None = None, ok=(0,)) -> str:
+    """stdout of ``python -m repdtc.cli ARGS`` on the sources of ``copy``;
+    an exit status outside ``ok`` raises."""
     run_env = dict(os.environ if env is None else env)
     run_env["PYTHONPATH"] = str(copy / "src")
     run_env.pop("REPDTC_SEED", None)  # the presets' own seeds
@@ -118,7 +151,7 @@ def _repdtc(copy: Path, args: list[str], env: dict | None = None) -> str:
         stderr=subprocess.PIPE,
         text=True,
     )
-    if proc.returncode != 0:
+    if proc.returncode not in ok:
         raise RuntimeError(f"repdtc {' '.join(args)} in {copy.name}: {proc.stderr}")
     return proc.stdout
 
@@ -174,8 +207,20 @@ def main(argv=None) -> int:
                 side: _run(copy, preset, work / side / "out" / preset, extra)
                 for side, copy in sides.items()
             }
-            files = _files(work / "parent/out" / preset, work / "change/out" / preset)
-            presets[preset] = {"seconds": seconds, "files": files}
+            parent, change = (work / side / "out" / preset for side in sides)
+            record = compare_records(
+                (parent / "record.json").read_bytes(),
+                (change / "record.json").read_bytes(),
+            )
+            presets[preset] = {
+                "seconds": seconds,
+                "files": _files(parent, change),
+                "record": record,
+            }
+        # verify exits 1 when a check fails; its lines say which.
+        verify = compare_lines(
+            *(_repdtc(copy, ["verify"], ok=(0, 1)) for copy in sides.values())
+        )
         blas = {}
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -185,7 +230,8 @@ def main(argv=None) -> int:
 
     summary = summarize(presets)
     doc = {
-        "what": "every preset's CSVs at the parent against this change, on one host",
+        "what": "every preset's CSVs and record.json, and repdtc verify, at the "
+        "parent against this change, on one host",
         "parent": parent_rev,
         "change": change_rev or "working tree",
         "command": "python -m repdtc.cli run PRESET --threads 2 --out DIR"
@@ -198,6 +244,8 @@ def main(argv=None) -> int:
         },
         "wall_seconds": round(time.perf_counter() - started, 1),
         "summary": summary,
+        "records_equal": sum(entry["record"]["equal"] for entry in presets.values()),
+        "verify": verify,
         "presets": presets,
         "blas_threads": {
             "preset": BLAS_PRESET,
@@ -209,7 +257,9 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(
         f"wrote {args.out}: {summary['sha256_equal']} of {summary['files']} files "
-        f"byte-identical, max |diff| {summary['max_abs_diff']}",
+        f"byte-identical, max |diff| {summary['max_abs_diff']}; "
+        f"{doc['records_equal']} of {len(presets)} records equal; verify output "
+        + ("equal" if verify["equal"] else f"differs on {len(verify['differ'])} lines"),
         file=sys.stderr,
     )
     identical = summary["sha256_equal"] == summary["files"] and all(
