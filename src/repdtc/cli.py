@@ -102,23 +102,12 @@ def _cmd_describe(args) -> int:
 # -- verify suite ------------------------------------------------------------
 
 
-def _dense_cnot() -> np.ndarray:
-    """Two-qubit CNOT, Z-basis control on qubit 0, X flip on qubit 1."""
-    mat = np.zeros((4, 4), dtype=complex)
-    for c in (0, 1):
-        for t in (0, 1):
-            mat[c + 2 * (t ^ c), c + 2 * t] = 1.0
-    return mat
-
-
-def _dense_ccnot() -> np.ndarray:
-    """Three-qubit CCNOT, controls on qubits 0 and 1, target qubit 2."""
-    mat = np.zeros((8, 8), dtype=complex)
-    for a in (0, 1):
-        for b in (0, 1):
-            for t in (0, 1):
-                flip = t ^ (a & b)
-                mat[a + 2 * b + 4 * flip, a + 2 * b + 4 * t] = 1.0
+def _dense_toffoli(n: int) -> np.ndarray:
+    """X on qubit n - 1 when qubits 0..n-2 are all 1 (CNOT for n = 2)."""
+    mat = np.eye(2**n, dtype=complex)
+    controls = 2 ** (n - 1) - 1
+    flip = [controls, controls | 2 ** (n - 1)]
+    mat[np.ix_(flip, flip)] = [[0, 1], [1, 0]]
     return mat
 
 
@@ -138,12 +127,12 @@ def _cmd_verify() -> int:
     cnot_layer = build_transversal_cnot_layer(
         pair, 0, 1, ideal_model_params("u4", pair).cnots[0]
     )
-    dev = verify_equivalence(Circuit(2, cnot_layer.rotations), _dense_cnot())
+    dev = verify_equivalence(Circuit(2, cnot_layer.rotations), _dense_toffoli(2))
     ok &= _check("transversal CNOT site = CNOT gate", dev, 1e-12)
 
     triple = ChainLayout(3, 1)
     ccnot_layer = build_generalized_cnot_layer(triple, (0, 1), 2, np.ones(1))
-    dev = verify_equivalence(Circuit(3, ccnot_layer.rotations), _dense_ccnot())
+    dev = verify_equivalence(Circuit(3, ccnot_layer.rotations), _dense_toffoli(3))
     ok &= _check("transversal CCNOT site = CCNOT gate", dev, 1e-12)
 
     # Conjugation gadgets against their target rotations.

@@ -12,7 +12,11 @@ configs reproduce byte-identical CSV outputs for any worker count.
 domain and its file default.  ``load_config_file`` reads through it,
 ``apply_overrides`` parses ``REPDTC_SEED`` with its seed entry, and an
 ``ExperimentConfig`` checks every field against it when it is made, so a
-config that exists is valid and nothing downstream checks it again.
+config that exists is valid and nothing downstream checks it again, with
+one exception: whether the compiler can lower the model at the chosen
+level.  ``run_experiment`` refuses a config it cannot lower (u2n on four
+or more chains at local-gadgets or native-iswap) with a ``ConfigError``
+naming ``lowering``.
 """
 
 from __future__ import annotations
@@ -196,7 +200,10 @@ _TEXT = (str, "text")
 _SPEC = (
     _spec,
     "two finite numbers 'mean, half_width >= 0' (a DisorderSpec in code)",
-    lambda spec: -_SPEC_BOUND <= spec.low <= spec.high <= _SPEC_BOUND,
+    # The ends are formed only from a mean and half-width within the
+    # bound: int - float overflows on an integer too large for a float.
+    lambda spec: max(abs(spec.mean), spec.half_width) <= _SPEC_BOUND
+    and -_SPEC_BOUND <= spec.low <= spec.high <= _SPEC_BOUND,
     f"mean +- half_width must lie in [{-_SPEC_BOUND:g}, {_SPEC_BOUND:g}]",
 )
 _SHOTS = f"must be positive (or omitted for exact) and at most {_COUNT_MAX:g}"
@@ -691,14 +698,6 @@ def run_realization(config: ExperimentConfig, realization: int) -> np.ndarray:
     return np.array(rows)
 
 
-def _worker(payload: tuple[ExperimentConfig, int, int]) -> np.ndarray:
-    # The pool size rides with each job, so that a worker's chunked runs
-    # take only its share of the cores.
-    config, realization, pool_size = payload
-    share_cores(pool_size)
-    return run_realization(config, realization)
-
-
 @dataclass
 class RunRecord:
     """Everything run_experiment measured, plus the figure-pipeline data.
@@ -798,16 +797,19 @@ def run_experiment(
             raise ConfigError(f"out: not a usable directory: {exc}") from None
 
     started = time.perf_counter()
-    jobs = [(config, r, workers) for r in range(config.realizations)]
+    indices = range(config.realizations)
     if workers > 1:
         # Imported here: multiprocessing costs every one-worker run time
-        # and memory at start-up.
+        # and memory at start-up.  Each worker takes its share of the
+        # cores once, so that its chunked runs stay within that share.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            all_rows = list(pool.map(_worker, jobs))
+        with ProcessPoolExecutor(
+            workers, initializer=share_cores, initargs=(workers,)
+        ) as pool:
+            all_rows = list(pool.map(run_realization, [config] * len(indices), indices))
     else:
-        all_rows = [_worker(job) for job in jobs]
+        all_rows = [run_realization(config, r) for r in indices]
 
     def reduce(row: int):
         """(series per realization, their mean, the spectrum) of one row."""

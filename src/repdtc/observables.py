@@ -36,18 +36,19 @@ class TimeSeries:
 class Spectrum:
     """Magnitudes on the stroboscopic frequency grid Omega_k = 2 pi k/tau."""
 
-    omegas: np.ndarray
     magnitudes: np.ndarray
 
     def __post_init__(self):
-        self.omegas = np.asarray(self.omegas, dtype=float)
         self.magnitudes = np.asarray(self.magnitudes, dtype=float)
-        if self.omegas.shape != self.magnitudes.shape:
-            raise ValueError("frequency grid and magnitudes differ in length")
+
+    @property
+    def omegas(self) -> np.ndarray:
+        tau = len(self.magnitudes)
+        return 2 * math.pi * np.arange(tau) / tau
 
     def bin_of(self, omega: float) -> int:
         """Grid index of an on-grid frequency; rejects off-grid requests."""
-        tau = len(self.omegas)
+        tau = len(self.magnitudes)
         k = grid_bin(omega, tau)
         if k is None:
             raise ValueError(f"frequency {omega} is not on the tau={tau} grid")
@@ -124,9 +125,7 @@ def power_spectrum(series: TimeSeries) -> Spectrum:
     tau = len(values)
     if tau < 2:
         raise ValueError("need at least two recorded cycles for a spectrum")
-    magnitudes = np.abs(np.fft.fft(values)) / tau
-    omegas = 2 * math.pi * np.arange(tau) / tau
-    return Spectrum(omegas, magnitudes)
+    return Spectrum(np.abs(np.fft.fft(values)) / tau)
 
 
 def subharmonic_score(spectrum: Spectrum, targets) -> float:
@@ -170,20 +169,14 @@ def subharmonic_lifetime(
     """
     if window < 1:
         raise ValueError(f"window must be at least 1, got {window}")
-    values = series.values[1:]
-    n_windows = len(values) // window
+    n_windows = (len(series.values) - 1) // window
     if n_windows < 1:
         raise ValueError("series shorter than one window")
     amps = []
-    bins = None
-    for w in range(n_windows):
-        segment = values[w * window : (w + 1) * window]
-        spec = Spectrum(
-            2 * math.pi * np.arange(window) / window,
-            np.abs(np.fft.fft(segment)) / window,
-        )
-        if bins is None:
-            bins = sorted({spec.bin_of(omega) for omega in targets})
+    for start in range(0, n_windows * window, window):
+        # Cycle ``start`` stands in for cycle 0, which power_spectrum drops.
+        spec = power_spectrum(TimeSeries(series.values[start : start + window + 1]))
+        bins = sorted({spec.bin_of(omega) for omega in targets})
         amps.append(float(spec.magnitudes[bins].mean()))
     reference = amps[0]
     if reference <= 0.0:
@@ -194,23 +187,22 @@ def subharmonic_lifetime(
     return n_windows * window
 
 
-def average_series(series_list) -> TimeSeries:
+def _mean(arrays) -> np.ndarray:
     """Pointwise mean in list order (fixed reduction order, bit-stable)."""
-    series_list = list(series_list)
-    if not series_list:
+    arrays = list(arrays)
+    if not arrays:
         raise ValueError("nothing to average")
-    total = np.zeros_like(series_list[0].values)
-    for s in series_list:
-        total += s.values
-    return TimeSeries(total / len(series_list))
+    total = np.zeros_like(arrays[0])
+    for a in arrays:
+        total += a
+    return total / len(arrays)
+
+
+def average_series(series_list) -> TimeSeries:
+    """Pointwise mean of the series, in list order."""
+    return TimeSeries(_mean(s.values for s in series_list))
 
 
 def average_spectra(spectra) -> Spectrum:
     """Pointwise mean of magnitudes; the alternative averaging pipeline."""
-    spectra = list(spectra)
-    if not spectra:
-        raise ValueError("nothing to average")
-    total = np.zeros_like(spectra[0].magnitudes)
-    for s in spectra:
-        total += s.magnitudes
-    return Spectrum(spectra[0].omegas.copy(), total / len(spectra))
+    return Spectrum(_mean(s.magnitudes for s in spectra))

@@ -17,8 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repdtc import cli, harness
-from repdtc.compiler import Circuit, ISwapRotation, lower_program
+from repdtc import cli, compiler, harness
+from repdtc.compiler import (
+    Circuit,
+    ISwapRotation,
+    lower_program,
+    share_cores,
+    usable_cores,
+)
 from repdtc.disorder import DisorderSpec, SeedPlan
 from repdtc.harness import (
     CONFIG_KEYS,
@@ -46,6 +52,13 @@ from repdtc.observables import (
 )
 from repdtc.pauli import PauliRotation
 from repdtc.statevector import StateVector
+
+
+def _pool_size_rows(config, realization):
+    """Stands in for run_realization: every entry is the number of
+    processes this one shares the cores with, as the compiler sees it."""
+    rows = 1 if config.readout() is None else 2
+    return np.full((rows, config.cycles + 1), float(compiler._pool_size))
 
 
 def small_config(**kw):
@@ -491,13 +504,15 @@ class TestRunExperiment:
             run_experiment(small_config(cycles=1))
 
     def test_pool_never_outgrows_jobs_or_cores(self, monkeypatch):
-        sizes = []
+        sizes, inits = [], []
 
         class RecordingPool:
-            """Stands in for the process pool: records its size, runs inline."""
+            """Stands in for the process pool: records its size and worker
+            initializer, runs inline without calling the initializer."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 sizes.append(max_workers)
+                inits.append((initializer, initargs))
 
             def __enter__(self):
                 return self
@@ -505,13 +520,24 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         run_experiment(small_config(sites=2, cycles=16), workers=10**6)
         size = min(3, len(os.sched_getaffinity(0)))
         assert sizes == ([size] if size > 1 else [])
+        assert inits == ([(share_cores, (size,))] if size > 1 else [])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_workers_take_their_core_share(self, monkeypatch, workers):
+        if workers > min(3, usable_cores()):
+            pytest.skip("needs two usable cores")
+        # Pool workers fork from here, so they inherit the patch.
+        monkeypatch.setattr(harness, "run_realization", _pool_size_rows)
+        record = run_experiment(small_config(sites=2, cycles=16), workers=workers)
+        assert [set(s.values) for s in record.series] == [{float(workers)}] * 3
+        assert compiler._pool_size == 1
 
     def test_import_loads_no_pool_or_config_parser(self, tmp_path):
         # A one-worker run from a preset needs none of them.  A config file
@@ -1131,6 +1157,18 @@ class TestConfigIsCheckedWhenMade:
         key = CONFIG_KEYS[field].name.format(0)
         with pytest.raises(ConfigError, match=f"^{key}: expected "):
             replace(PRESETS[preset], **{field: value})
+
+    # Each raised OverflowError from forming mean -+ half_width.
+    @pytest.mark.parametrize(
+        "field,value",
+        [("x_spec", DisorderSpec(10**400)), ("x_spec", DisorderSpec(0.0, 10**400)),
+         ("coupling_specs", (DisorderSpec(10**400), DisorderSpec(1.0)))],
+        ids=["mean", "half_width", "coupling"],
+    )
+    def test_huge_integer_spec_is_refused_by_its_key(self, field, value):
+        key = CONFIG_KEYS[field].name.format(0)
+        with pytest.raises(ConfigError, match=rf"^{key}: mean \+- half_width must"):
+            replace(PRESETS["fig2a"], **{field: value})
 
     def test_none_passes_only_where_the_default_is_none(self):
         config = replace(PRESETS["fig5a"], alpha=None, shots=None, measure_qubit=None)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from repdtc import ChainLayout, StateVector, build_model
+from repdtc import ChainLayout, StateVector, build_model, observables
 from repdtc.compiler import lower_program
 from repdtc.disorder import DisorderSpec, SeedPlan, sample_model_params
 from repdtc.harness import ExperimentConfig
@@ -195,9 +195,10 @@ class TestPowerSpectrum:
 
 
 class TestSpectrum:
-    def test_mismatched_lengths_are_refused(self):
-        with pytest.raises(ValueError, match="differ in length"):
-            Spectrum(np.zeros(4), np.zeros(3))
+    @pytest.mark.parametrize("tau", [2, 7, 500])
+    def test_grid_is_derived_from_the_magnitudes(self, tau):
+        spec = Spectrum(np.zeros(tau))
+        assert np.array_equal(spec.omegas, 2 * math.pi * np.arange(tau) / tau)
 
 
 class TestBinLookup:
@@ -215,11 +216,10 @@ class TestBinLookup:
 
 
 def flat_spectrum(tau, assignments):
-    omegas = 2 * math.pi * np.arange(tau) / tau
     mags = np.zeros(tau)
     for k, v in assignments.items():
         mags[k] = v
-    return Spectrum(omegas, mags)
+    return Spectrum(mags)
 
 
 class TestSubharmonicScore:
@@ -311,6 +311,40 @@ class TestSubharmonicLifetime:
         series = self.step_series(100, 40, 0.1)
         with pytest.raises(ValueError, match="window"):
             subharmonic_lifetime(series, (math.pi,), window=window)
+
+    def test_one_cycle_window_has_no_spectrum(self):
+        series = self.step_series(100, 40, 0.1)
+        with pytest.raises(ValueError, match="at least two recorded cycles"):
+            subharmonic_lifetime(series, (math.pi,), window=1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_windowed_fft_bit_for_bit(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        window = int(rng.integers(2, 40))
+        n_windows = int(rng.integers(3, 9))
+        extra = int(rng.integers(window))
+        series = TimeSeries(rng.normal(size=1 + n_windows * window + extra))
+        targets = (2 * math.pi * int(rng.integers(1, window)) / window,)
+        spectra = []
+
+        def recording(s):
+            spectra.append(power_spectrum(s))
+            return spectra[-1]
+
+        monkeypatch.setattr(observables, "power_spectrum", recording)
+        lifetime = subharmonic_lifetime(series, targets, window=window)
+        # Each window's FFT on its own grid, cycle 0 left out.
+        values = series.values[1:]
+        amps = []
+        for w in range(n_windows):
+            segment = values[w * window : (w + 1) * window]
+            mags = np.abs(np.fft.fft(segment)) / window
+            assert spectra[w].magnitudes.tobytes() == mags.tobytes()
+            bins = sorted({round(o * window / (2 * math.pi)) % window for o in targets})
+            amps.append(float(mags[bins].mean()))
+        assert len(spectra) == n_windows
+        halved = [w * window for w, amp in enumerate(amps) if amp < 0.5 * amps[0]]
+        assert lifetime == (halved[0] if halved else n_windows * window)
 
 
 class TestAveraging:
