@@ -11,6 +11,7 @@ from .compiler import (
     CompilationError,
     ISwapRotation,
     LOWERING_LEVELS,
+    RotationGroup,
     decompose,
     lower_program,
     lower_rotation_native,

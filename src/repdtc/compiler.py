@@ -9,8 +9,9 @@ Three levels exist:
   single-qubit rotations.
 
 Every level, and every gadget, returns one ``Circuit``: a flat list of
-Pauli and iSWAP rotations compiled once, the single executable form of
-a period.  A program runs as its ``circuit``.
+Pauli rotations, iSWAPs and rotation groups compiled once, the single
+executable form of a period.  A program runs as its ``circuit``, in
+which each site of a generalized-CNOT layer is one ``RotationGroup``.
 
 The gadgets all follow one identity: conjugating a rotation
 exp(-i*theta*P) by exp(+-i*pi/4*G) with G anticommuting with P yields
@@ -31,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .pauli import PauliRotation, PauliString, clifford_conjugate
+from .pauli import PauliRotation, PauliString, all_commute, clifford_conjugate
 from .statevector import CHUNK_QUBITS, StateVector, pauli_view
 
 if TYPE_CHECKING:
@@ -59,6 +60,50 @@ class ISwapRotation:
 
     qubits: tuple[int, int]
     angle: float
+
+
+@dataclass(frozen=True)
+class RotationGroup:
+    """Pairwise commuting Pauli rotations, applied in order as one step.
+
+    Every rotation flips the same non-empty X/Y qubit set or is
+    diagonal, so the product is psi <- D0 * psi + D1 * psi[flip] with D0
+    and D1 diagonal (``PauliView.group_step``).  ``pauli`` is the union
+    string, X on the flipped qubits and Z on the rest of the support:
+    the view the step runs on, and what a circuit reads an entry's
+    support and kind from.  A group is never native, so temporal noise
+    refuses a circuit that holds one.
+    """
+
+    rotations: tuple[PauliRotation, ...]
+    pauli: PauliString = field(init=False)
+
+    def __post_init__(self):
+        rotations = self.rotations
+        if not rotations or not all(type(r) is PauliRotation for r in rotations):
+            raise ValueError("a rotation group holds one or more PauliRotations")
+        if len({r.n_qubits for r in rotations}) != 1:
+            raise ValueError("a rotation group's rotations differ in register size")
+        if not all_commute(rotations):
+            raise ValueError("a rotation group's rotations must pairwise commute")
+        flips = {
+            tuple(q for q, c in enumerate(r.pauli.letters) if c in "XY")
+            for r in rotations
+        } - {()}
+        if len(flips) != 1:
+            raise ValueError(
+                "a rotation group's rotations must flip one non-empty X/Y qubit "
+                f"set or none, got {sorted(flips)}"
+            )
+        (flip,) = flips
+        support = {q for r in rotations for q in r.pauli.support()}
+        ops = {q: "X" if q in flip else "Z" for q in support}
+        pauli = PauliString.from_ops(rotations[0].n_qubits, ops)
+        object.__setattr__(self, "pauli", pauli)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.pauli.n_qubits
 
 
 def usable_cores() -> int:
@@ -154,8 +199,8 @@ def _misfit(entry, n_qubits: int) -> str | None:
         if not (0 <= a < n_qubits and 0 <= b < n_qubits):
             return f"qubits outside a register of {n_qubits}"
         return None
-    if not isinstance(entry, PauliRotation):
-        return "not a PauliRotation or an ISwapRotation"
+    if not isinstance(entry, (PauliRotation, RotationGroup)):
+        return "not a PauliRotation, an ISwapRotation or a RotationGroup"
     if entry.n_qubits != n_qubits:
         return f"a {entry.n_qubits}-qubit rotation in a register of {n_qubits}"
     return None
@@ -165,12 +210,15 @@ def _misfit(entry, n_qubits: int) -> str | None:
 class Circuit:
     """One driving period as a flat rotation list, compiled once.
 
-    Every entry is a ``PauliRotation`` or an ``ISwapRotation``.
-    Construction records the base angles, which entries are iSWAPs, and
-    whether every entry is native (weight <= 1 or an iSWAP), which is
-    what temporal angle noise attaches to.  The first ``apply_to`` splits
-    the entries into runs and takes each rotation's view, and the first
-    noise-free one compiles the steps, so circuits that are only
+    Every entry is a ``PauliRotation``, an ``ISwapRotation`` or a
+    ``RotationGroup``, which runs as one step and counts as one entry,
+    so ``len`` is the kernel calls of a period on one chunk.
+    Construction records the base angles (NaN for a group, whose
+    rotations keep their own), which entries are iSWAPs, and whether
+    every entry is native (a rotation of weight <= 1 or an iSWAP), which
+    is what temporal angle noise attaches to.  The first ``apply_to``
+    splits the entries into runs and takes each entry's view, and the
+    first noise-free one compiles the steps, so circuits that are only
     rewritten, such as gadget sub-circuits, never compile.
 
     On more than ``CHUNK_QUBITS`` qubits, a maximal run of entries below
@@ -186,7 +234,7 @@ class Circuit:
     """
 
     n_qubits: int
-    rotations: tuple[PauliRotation | ISwapRotation, ...]
+    rotations: tuple[PauliRotation | ISwapRotation | RotationGroup, ...]
     _angles: np.ndarray = field(init=False, repr=False, compare=False)
     _iswaps: np.ndarray = field(init=False, repr=False, compare=False)
     _native: bool = field(init=False, repr=False, compare=False)
@@ -197,8 +245,11 @@ class Circuit:
             if problem:
                 raise ValueError(f"circuit entry {index} ({entry}): {problem}")
         iswaps = [isinstance(r, ISwapRotation) for r in self.rotations]
-        native = all(i or r.pauli.weight <= 1 for r, i in zip(self.rotations, iswaps))
-        angles = np.array([r.angle for r in self.rotations], dtype=float)
+        native = all(
+            i or (type(r) is PauliRotation and r.pauli.weight <= 1)
+            for r, i in zip(self.rotations, iswaps)
+        )
+        angles = np.array([getattr(r, "angle", math.nan) for r in self.rotations])
         object.__setattr__(self, "_angles", angles)
         object.__setattr__(self, "_iswaps", np.array(iswaps, dtype=bool))
         object.__setattr__(self, "_native", native)
@@ -283,10 +334,15 @@ class Circuit:
         return self._steps(self._angles)
 
     def _steps(self, angles: np.ndarray) -> list:
-        """Per entry at ``angles``: its view's step, or the iSWAP angle."""
+        """Per entry at ``angles``: its view's step, a group's step, or
+        the iSWAP angle."""
         return [
-            angle if view is None else view.step(angle)
-            for view, angle in zip(self._views, angles.tolist())
+            angle
+            if view is None
+            else view.group_step(entry.rotations)
+            if type(entry) is RotationGroup
+            else view.step(angle)
+            for entry, view, angle in zip(self.rotations, self._views, angles.tolist())
         ]
 
 

@@ -825,7 +825,7 @@ def run_experiment(
         _, readout_series, readout_spectrum = reduce(1)
 
     targets = config.resolved_targets()
-    target_bins = sorted({readout_spectrum.bin_of(omega) for omega in targets})
+    target_bins = readout_spectrum.bins_of(targets)
     score = subharmonic_score(readout_spectrum, targets)
     score_full = subharmonic_score(spectrum, targets)
     order = np.argsort(readout_spectrum.magnitudes[1:])[::-1]

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .compiler import Circuit
+from .compiler import Circuit, RotationGroup
 from .pauli import PauliRotation, PauliString, all_commute
 
 DEFAULT_ALPHA = 1.5  # power-law exponent of the long-range stabilizer
@@ -141,7 +141,10 @@ class FloquetProgram:
     """One driving period as an ordered tuple of layers.
 
     ``circuit`` is the period's ``pauli-layers`` ``Circuit``, built
-    once; the period runs as that circuit.
+    once; the period runs as that circuit.  It holds every layer's
+    rotations in order, except that each site's run of a generalized
+    layer, whose terms all flip that site's target qubit, is one
+    ``RotationGroup``.
     """
 
     layout: ChainLayout
@@ -165,7 +168,18 @@ class FloquetProgram:
 
     @functools.cached_property
     def circuit(self) -> Circuit:
-        return Circuit(self.n_qubits, tuple(self.all_rotations()))
+        entries: list[PauliRotation | RotationGroup] = []
+        for layer in self.layers:
+            if layer.kind == "generalized":
+                # A site's terms are consecutive; the site of a qubit q is
+                # q % sites.
+                sites = itertools.groupby(
+                    layer.rotations, lambda r: r.pauli.support()[0] % self.layout.sites
+                )
+                entries.extend(RotationGroup(tuple(terms)) for _, terms in sites)
+            else:
+                entries.extend(layer.rotations)
+        return Circuit(self.n_qubits, tuple(entries))
 
     def to_dict(self) -> dict:
         return {

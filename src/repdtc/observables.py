@@ -54,6 +54,14 @@ class Spectrum:
             raise ValueError(f"frequency {omega} is not on the tau={tau} grid")
         return k
 
+    def bins_of(self, targets) -> list[int]:
+        """Sorted distinct grid indices of on-grid target frequencies;
+        an empty target set is refused."""
+        bins = sorted({self.bin_of(omega) for omega in targets})
+        if not bins:
+            raise ValueError("need at least one target frequency")
+        return bins
+
 
 def grid_bin(omega: float, tau: int) -> int | None:
     """Index k of the grid frequency 2 pi k / tau within 1e-9 of omega, else None."""
@@ -136,9 +144,7 @@ def subharmonic_score(spectrum: Spectrum, targets) -> float:
     maximum count as numerically zero: zero targets score 0, zero
     background saturates at ``SCORE_CAP``.
     """
-    bins = sorted({spectrum.bin_of(omega) for omega in targets})
-    if not bins:
-        raise ValueError("need at least one target frequency")
+    bins = spectrum.bins_of(targets)
     mags = spectrum.magnitudes
     top = float(mags.max())
     if top == 0.0:
@@ -176,7 +182,7 @@ def subharmonic_lifetime(
     for start in range(0, n_windows * window, window):
         # Cycle ``start`` stands in for cycle 0, which power_spectrum drops.
         spec = power_spectrum(TimeSeries(series.values[start : start + window + 1]))
-        bins = sorted({spec.bin_of(omega) for omega in targets})
+        bins = spec.bins_of(targets)
         amps.append(float(spec.magnitudes[bins].mean()))
     reference = amps[0]
     if reference <= 0.0:

@@ -7,7 +7,12 @@ as cos(theta)*psi - i*sin(theta)*(P psi), so no gate matrix is ever
 exponentiated.  One view kernel serves every Pauli string: the register
 is reshaped with one length-2 axis per support qubit, P psi is that view
 with its X/Y axes reversed times a small +-1 coefficient table, and a
-diagonal string is one in-place multiply by its table.  No gate builds
+diagonal string is one in-place multiply by its table.  A group of
+commuting rotations that all flip the same qubits or none runs as one
+such step, psi <- D0 * psi + D1 * psi[flip], on the view of its union
+support: D1 in the table's place and D0 in cos theta's, both composed
+from the rotations' (cos theta, -i sin theta * P) pairs on that view's
+axes, so neither grows with the register.  No gate builds
 an index array.  The amplitudes hold one state, shape ``(2**n,)``, or a
 block ``(B, 2**n)`` of one state per row, kept C-ordered: every gate
 acts on each row alike, while the readouts and norms refuse a block.  A
@@ -100,7 +105,7 @@ def _slabs(shape: tuple, kept: tuple, limit: int) -> tuple:
     return tuple(itertools.product(*cuts))
 
 
-def _flip(view, reversed_view, table, cos: float, order: str) -> None:
+def _flip(view, reversed_view, table, cos, order: str) -> None:
     """view <- cos * view + table * (view with its X/Y axes reversed)."""
     if order == "K":
         flipped = reversed_view * table
@@ -154,7 +159,7 @@ class PauliView:
     ny the number of Y letters.
     """
 
-    __slots__ = ("n_qubits", "layout", "signs", "phase", "order")
+    __slots__ = ("n_qubits", "layout", "signs", "phase", "order", "_axes")
 
     def __init__(self, pauli: PauliString):
         letters = pauli.letters
@@ -162,42 +167,95 @@ class PauliView:
         merged = min(flips + [len(letters), _MERGED_BELOW])
         if not flips and len(letters) <= _DIAGONAL_MERGED_MAX:
             merged = len(letters)
-        low_z = [q for q in range(merged) if letters[q] == "Z"]
-        bits = (np.arange(1 << merged)[:, None] >> np.array(low_z, dtype=int)) & 1
-        run_signs = 1.0 - 2.0 * (bits.sum(axis=1) % 2) if low_z else [1.0]
-        # (length, letter, signs along the axis), lowest qubit first.
-        axes = [(1 << merged, "I", run_signs)] if merged else []
+        # (length, qubit) per axis, lowest qubit first: qubit -1 marks the
+        # merged trailing axis, None a run of identities or the rest.
+        axes = [(1 << merged, -1)] if merged else []
         below = merged
         for q, c in enumerate(letters[merged:], merged):
             if c != "I":
                 if q > below:
-                    axes.append((1 << (q - below), "I", [1.0]))
-                axes.append((2, c, [1.0] if c == "X" else [1.0, -1.0]))
+                    axes.append((1 << (q - below), None))
+                axes.append((2, q))
                 below = q + 1
-        axes.append((-1, "I", [1.0]))
+        axes.append((-1, None))
+        self._axes = axes[::-1]
         self.n_qubits = len(letters)
-        shape, kinds, vectors = zip(*reversed(axes))
-        reverse = tuple(i for i, c in enumerate(kinds) if c in "XY")
+        shape = tuple(length for length, _ in self._axes)
+        reverse = tuple(i for i, (_, q) in enumerate(self._axes) if q in flips)
         self.layout = (shape, reverse if flips else None)
-        signs = functools.reduce(np.multiply, np.ix_(*vectors))
-        self.signs = None if (signs > 0).all() else signs
-        # P|b> = i**ny (-1)**pop(b & zy) |b ^ x>: read at c = b ^ x, the
-        # parity of b is that of c times (-1)**pop(x & zy) = (-1)**ny.
-        n_y = letters.count("Y")
-        self.phase = 1j**n_y * (-1.0 if n_y % 2 else 1.0)
+        self.signs, self.phase = self._signs(letters)
         self.order = "F" if 0 < shape[-1] < 1 << _STRIDED_BELOW else "K"
+
+    def _signs(self, letters: tuple) -> tuple:
+        """(signs, phase) over this view's axes of a string whose support
+        lies within the view's, with no X/Y on its merged axis.
+
+        ``signs`` is (-1)**(Z/Y bits set), None when it is +1 throughout.
+        P|b> = i**ny (-1)**pop(b & zy) |b ^ x>: read at c = b ^ x, the
+        parity of b is that of c times (-1)**pop(x & zy) = (-1)**ny, so
+        ``phase`` is i**ny * (-1)**ny, with ny the number of Y letters.
+        """
+        vectors = []
+        for length, q in self._axes:
+            if q is None:
+                vectors.append([1.0])
+            elif q >= 0:
+                vectors.append([1.0, -1.0] if letters[q] in "ZY" else [1.0])
+            else:
+                low = [p for p in range(length.bit_length() - 1) if letters[p] == "Z"]
+                bits = (np.arange(length)[:, None] >> np.array(low, dtype=int)) & 1
+                vectors.append(1.0 - 2.0 * (bits.sum(axis=1) % 2) if low else [1.0])
+        signs = functools.reduce(np.multiply, np.ix_(*vectors))
+        n_y = letters.count("Y")
+        phase = 1j**n_y * (-1.0 if n_y % 2 else 1.0)
+        return (None if (signs > 0).all() else signs), phase
 
     def step(self, theta: float) -> tuple:
         """(register size, layout, coefficient table, cos theta, order) at
         ``theta``: what ``StateVector.apply_rotation`` runs."""
-        signs = self.signs
-        if self.layout[1] is None:
-            minus, plus = cmath.exp(-1j * theta), cmath.exp(1j * theta)
-            table = minus if signs is None else np.where(signs > 0, minus, plus)
-            return self.n_qubits, self.layout, table, 1.0, self.order
-        coef = -1j * math.sin(theta) * self.phase
-        table = coef if signs is None else coef * signs
-        return self.n_qubits, self.layout, table, math.cos(theta), self.order
+        flips = self.layout[1] is not None
+        table, cos = _coefs(theta, self.signs, self.phase, flips)
+        return self.n_qubits, self.layout, table, cos, self.order
+
+    def group_step(self, rotations) -> tuple:
+        """(register size, layout, D1, D0, order): the step of the product
+        of commuting ``rotations``, applied in order, that all flip this
+        view's X/Y qubits or none, on a view of their union support.
+
+        The product is psi <- D0 * psi + D1 * (psi with the X/Y axes
+        reversed), with D0 and D1 tables over the view's axes, made by
+        composing each rotation's (cos theta, -i sin theta * P) pair:
+        (A + B F)(D0 + D1 F) = (A D0 + B D1^F) + (A D1 + B D0^F) F, with
+        F the flip and T^F a table with the X/Y axes reversed.
+        """
+        reverse = self.layout[1]
+        # Tables 1 long on every axis grow only along the axes a term's
+        # signs span; one 1 long on an X/Y axis is its own flip.
+        d0 = np.ones((1,) * len(self._axes), dtype=complex)
+        d1 = np.zeros_like(d0)
+        for rot in rotations:
+            letters = rot.pauli.letters
+            flips = any(c in "XY" for c in letters)
+            table, cos = _coefs(rot.angle, *self._signs(letters), flips)
+            if flips:
+                d0, d1 = (
+                    cos * d0 + table * np.flip(d1, reverse),
+                    cos * d1 + table * np.flip(d0, reverse),
+                )
+            else:
+                d0, d1 = table * d0, table * d1
+        return self.n_qubits, self.layout, d1, d0, self.order
+
+
+def _coefs(theta: float, signs, phase: complex, flips: bool) -> tuple:
+    """(table, cos) of exp(-i*theta*P) from P's signs and phase: the
+    diagonal of a diagonal P beside 1.0, else -i sin(theta) * P's table
+    beside cos(theta)."""
+    if not flips:
+        minus, plus = cmath.exp(-1j * theta), cmath.exp(1j * theta)
+        return (minus if signs is None else np.where(signs > 0, minus, plus)), 1.0
+    coef = -1j * math.sin(theta) * phase
+    return (coef if signs is None else coef * signs), math.cos(theta)
 
 
 # A period applies the same few PauliStrings every cycle; building the
@@ -278,18 +336,25 @@ class StateVector:
     def apply_rotation(
         self, rot: PauliRotation, step: tuple | None = None, part: int | None = None
     ) -> None:
-        """Apply exp(-i*theta*P) in place.
+        """Apply exp(-i*theta*P) in place, or a group of rotations.
 
         ``step`` is ``pauli_view(P).step(theta)`` made ahead of time, as a
-        compiled circuit does; without it the step is made here.
-        ``part=k`` applies the gate to slab k alone, for a string below
-        qubit CHUNK_QUBITS on a larger register: amplitudes [k * 2**15,
-        (k + 1) * 2**15) of the register, or of the block read row after
-        row.  That cut is of the leading axis alone, along which the
-        step's table is 1 long, so the table applies uncut.
+        compiled circuit does; without it the step is made here.  A
+        group, anything that is not a ``PauliRotation``, holds commuting
+        ``rotations`` on its union string ``pauli``; its step is that
+        view's ``group_step``.  ``part=k`` applies the gate to slab k
+        alone, for a string below qubit CHUNK_QUBITS on a larger
+        register: amplitudes [k * 2**15, (k + 1) * 2**15) of the
+        register, or of the block read row after row.  That cut is of
+        the leading axis alone, along which the step's tables are 1
+        long, so they apply uncut.
         """
         if step is None:
-            step = pauli_view(rot.pauli).step(rot.angle)
+            view = pauli_view(rot.pauli)
+            if isinstance(rot, PauliRotation):
+                step = view.step(rot.angle)
+            else:
+                step = view.group_step(rot.rotations)
         n, layout, table, cos, order = step
         if n != self.n_qubits:
             raise ValueError("rotation register size does not match state")
@@ -311,12 +376,14 @@ class StateVector:
             view *= cos
             view += flipped
         else:
-            # A table is cut with the view; a scalar stays one.
-            cut = type(table) is np.ndarray
-            tables = np.broadcast_to(table, view.shape) if cut else None
+            # A table or cos array is cut with the view; a scalar stays one.
+            coefs = [
+                np.broadcast_to(c, view.shape) if type(c) is np.ndarray else c
+                for c in (table, cos)
+            ]
             for slab in slabs:
-                slab_table = tables[slab] if cut else table
-                _flip(view[slab], reversed_view[slab], slab_table, cos, order)
+                t, c = (x[slab] if type(x) is np.ndarray else x for x in coefs)
+                _flip(view[slab], reversed_view[slab], t, c, order)
 
     def _take_views(self, layout: tuple) -> tuple:
         """Take and keep the views of a step's layout, and their slabs of

@@ -27,6 +27,7 @@ from repdtc.compiler import (
     Circuit,
     CompilationError,
     ISwapRotation,
+    RotationGroup,
     decompose,
     lower_rotation_local,
     lower_rotation_native,
@@ -39,6 +40,7 @@ from repdtc.models import (
     ModelParams,
     build_generalized_cnot_layer,
 )
+from repdtc.observables import prepare_initial_state, stroboscopic_run
 from repdtc.statevector import pauli_view
 
 from conftest import circuit_unitary, dense_iswap, dense_rotation, phase_distance
@@ -641,6 +643,139 @@ class TestCircuitRegister:
                 else:
                     one.apply_rotation(rot)
             assert np.array_equal(row, one.amplitudes)
+
+
+def rotation(n, ops, angle):
+    return PauliRotation(PauliString.from_ops(n, ops), angle)
+
+
+def ordered_product(rotations, n):
+    """Dense R_m ... R_1 of rotations applied in list order."""
+    product = np.eye(1 << n, dtype=complex)
+    for rot in rotations:
+        ops = dict(enumerate(rot.pauli.letters))
+        product = dense_rotation(n, ops, rot.angle) @ product
+    return product
+
+
+class TestRotationGroup:
+    @pytest.mark.parametrize(
+        "controls, target",
+        [((0,), 1), ((0, 1), 2), ((0, 1, 2), 3), ((1, 2), 0)],
+        ids=["1-control", "2-controls", "3-controls", "target-on-qubits-0-1"],
+    )
+    def test_group_is_the_ordered_product(self, rng, controls, target):
+        # Two sites: site 0's group runs on qubits from 0 up, site 1's has
+        # every qubit of its support above the lowest.  Random scales, and
+        # random angles per term, so no product of terms is special.
+        layout = ChainLayout(len(controls) + 1, 2)
+        n = layout.n_qubits
+        layer = build_generalized_cnot_layer(
+            layout, controls, target, rng.uniform(0.5, 1.5, size=2)
+        )
+        program = FloquetProgram(layout, "u2n", (layer,))
+        groups = program.circuit.rotations
+        assert len(groups) == 2 and all(type(g) is RotationGroup for g in groups)
+        assert sum(len(g.rotations) for g in groups) == len(layer.rotations)
+        for group in groups:
+            for terms in (
+                group.rotations,
+                tuple(PauliRotation(r.pauli, rng.normal()) for r in group.rotations),
+            ):
+                got = circuit_unitary(Circuit(n, (RotationGroup(terms),)).apply_to, n)
+                want = ordered_product(terms, n)
+                assert np.abs(got - want).max() <= 1e-13
+
+    def test_xx_yy_zz_group_carries_the_y_phase(self, rng):
+        # The terms of an iSWAP flip one pair with X and with Y letters.
+        n = 3
+        terms = (
+            rotation(n, {0: "X", 2: "X"}, rng.normal()),
+            rotation(n, {0: "Y", 2: "Y"}, rng.normal()),
+            rotation(n, {0: "Z", 2: "Z"}, rng.normal()),
+            rotation(n, {1: "Z"}, rng.normal()),
+        )
+        group = RotationGroup(terms)
+        assert str(group.pauli) == "+1 X0 Z1 X2"
+        got = circuit_unitary(lambda s: s.apply_rotation(group), n)
+        assert np.abs(got - ordered_product(terms, n)).max() <= 1e-13
+
+    def test_slabs_cut_the_group_tables(self, rng):
+        # On 17 qubits, Z16 X15 runs slab by slab, and the slabs cut the
+        # axis of qubit 16, along which both tables vary.
+        n = CHUNK_QUBITS + 2
+        terms = (
+            rotation(n, {n - 1: "Z"}, rng.normal()),
+            rotation(n, {n - 2: "X"}, rng.normal()),
+            rotation(n, {n - 1: "Z", n - 2: "X"}, rng.normal()),
+        )
+        group = RotationGroup(terms)
+        start = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state, want = StateVector(n, start.copy()), StateVector(n, start)
+        Circuit(n, (group,)).apply_to(state)
+        for rot in terms:
+            want.apply_rotation(rot)
+        _, layout, d1, d0, _ = pauli_view(group.pauli).group_step(terms)
+        assert d0.shape[1] == d1.shape[1] == 2 and d0.size == d1.size == 2
+        assert any(cut[1] != slice(None) for cut in state._take_views(layout)[2])
+        assert np.abs(state.amplitudes - want.amplitudes).max() <= 1e-12
+
+    def test_u2n_16_qubit_circuit_matches_its_expansion(self, rng):
+        # 2 x 8 qubits: the groups of sites 0-6 run in chunked runs, the
+        # one of site 7 targets qubit 15 and runs on the whole register.
+        layout = ChainLayout(2, 8)
+        params = ideal_model_params("u2n", layout, rng.uniform(0.8, 1.2, (2, 7)))
+        params = ModelParams(
+            couplings=params.couplings,
+            x_field=params.x_field * rng.uniform(0.9, 1.1, 8),
+            scales=(rng.uniform(0.9, 1.1, 8),),
+        )
+        program = build_model("u2n", layout, params)
+        circuit = program.circuit
+        groups = [i for i, e in enumerate(circuit.rotations) if type(e) is RotationGroup]
+        assert len(groups) == 8 and len(circuit) == 14 + 8 + 8
+        chunked = {i for start, stop, cut in circuit._runs if cut for i in range(start, stop)}
+        assert set(groups[:7]) <= chunked and groups[7] not in chunked
+        assert circuit.rotations[groups[7]].pauli.letters[15] == "X"
+        start = prepare_initial_state(layout.n_qubits, 0.3)
+        z = stroboscopic_run(circuit, start.copy(), 10)
+        expanded = Circuit(layout.n_qubits, tuple(program.all_rotations()))
+        want = stroboscopic_run(expanded, start, 10)
+        assert np.abs(z - want).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "terms, problem",
+        [
+            ((), "one or more"),
+            ((ISwapRotation((0, 1), QUARTER),), "one or more"),
+            (({0: "X"}, {0: "Z"}), "commute"),
+            (({0: "X"}, {1: "X"}), "one non-empty X/Y qubit set"),
+            (({0: "Z"}, {1: "Z"}), "one non-empty X/Y qubit set"),
+        ],
+    )
+    def test_refuses_what_is_not_one_flip_group(self, terms, problem):
+        terms = tuple(
+            rotation(3, t, 0.3) if isinstance(t, dict) else t for t in terms
+        )
+        with pytest.raises(ValueError, match=problem):
+            RotationGroup(terms)
+
+    def test_refuses_rotations_on_two_register_sizes(self):
+        with pytest.raises(ValueError, match="register size"):
+            RotationGroup((rotation(2, {0: "X"}, 0.3), rotation(3, {0: "X"}, 0.3)))
+
+    def test_a_group_is_never_native(self, rng):
+        circuit = Circuit(2, (RotationGroup((rotation(2, {0: "X"}, 0.3),)),))
+        with pytest.raises(ValueError, match="native"):
+            circuit.apply_to(StateVector(2), rng=rng, single_error=0.1)
+
+    def test_fig5a_period_counts_each_ccnot_site_once(self):
+        config = PRESETS["fig5a"]
+        program, circuit = harness._build_realization(config, SeedPlan(config.seed), 0)
+        assert len(list(program.all_rotations())) == 53
+        assert len(circuit) == 29
+        groups = [e for e in circuit.rotations if type(e) is RotationGroup]
+        assert [len(g.rotations) for g in groups] == [7] * 4
 
 
 @st.composite

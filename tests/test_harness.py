@@ -21,6 +21,7 @@ from repdtc import cli, compiler, harness
 from repdtc.compiler import (
     Circuit,
     ISwapRotation,
+    RotationGroup,
     lower_program,
     share_cores,
     usable_cores,
@@ -575,19 +576,22 @@ class TestRunExperiment:
 
 
 def evolve_entry_by_entry(circuit, state, cycles, rng, single_error, iswap_error):
-    """<Z_q> per cycle, each entry applied without a step to a fresh copy."""
+    """<Z_q> per cycle, each entry applied without a step to a fresh copy;
+    a RotationGroup, which has no one angle, is applied as itself."""
     rows = [state.expectation_z_all()]
     iswaps = [isinstance(entry, ISwapRotation) for entry in circuit.rotations]
     widths = np.where(iswaps, iswap_error, single_error)
     noisy = widths > 0.0
     for _ in range(cycles):
         state = StateVector(state.n_qubits, state.amplitudes.copy())
-        angles = np.array([entry.angle for entry in circuit.rotations])
+        angles = np.array([getattr(e, "angle", math.nan) for e in circuit.rotations])
         if noisy.any():
             angles[noisy] *= 1.0 + rng.uniform(-widths[noisy], widths[noisy])
         for entry, angle in zip(circuit.rotations, angles.tolist()):
             if isinstance(entry, ISwapRotation):
                 state.apply_iswap(*entry.qubits, angle=angle)
+            elif isinstance(entry, RotationGroup):
+                state.apply_rotation(entry)
             else:
                 state.apply_rotation(PauliRotation(entry.pauli, angle))
         rows.append(state.expectation_z_all())
@@ -615,7 +619,13 @@ class TestBitExactFastPaths:
         z = stroboscopic_run(program.circuit, start.copy(), 10)
         uncompiled = Circuit(program.n_qubits, tuple(program.all_rotations()))
         want = evolve_entry_by_entry(uncompiled, start, 10, None, 0.0, 0.0)
-        assert np.array_equal(z, want)
+        if preset == "fig5a":
+            # Each CCNOT site runs as one RotationGroup, its seven terms
+            # composed into two tables, so the rounding moves: max |dZ|
+            # read 8.9e-16 over these 10 cycles.
+            assert np.abs(z - want).max() <= 1e-12
+        else:
+            assert np.array_equal(z, want)
 
     @pytest.mark.parametrize("rows", range(1, 25))
     def test_cycle_means_match_column_means(self, monkeypatch, rows):

@@ -214,6 +214,15 @@ class TestBinLookup:
         with pytest.raises(ValueError):
             spec.bin_of(math.pi / 2)
 
+    def test_bins_of_sorts_distinct_bins(self):
+        spec = power_spectrum(TimeSeries(np.zeros(9)))
+        assert spec.bins_of((3 * math.pi / 2, math.pi / 2, math.pi / 2)) == [2, 6]
+
+    def test_bins_of_refuses_an_empty_target_set(self):
+        spec = power_spectrum(TimeSeries(np.zeros(9)))
+        with pytest.raises(ValueError, match="at least one target"):
+            spec.bins_of(())
+
 
 def flat_spectrum(tau, assignments):
     mags = np.zeros(tau)
@@ -301,6 +310,13 @@ class TestSubharmonicLifetime:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             subharmonic_lifetime(TimeSeries(np.zeros(50)), (math.pi,))
+
+    def test_empty_targets_rejected(self):
+        # Each window's amplitude would be the mean of no bins (NaN), which
+        # never halves, so the lifetime would read the full span.
+        series = self.step_series(200, 200, 1.0)
+        with pytest.raises(ValueError, match="at least one target"):
+            subharmonic_lifetime(series, ())
 
     def test_custom_window(self):
         series = self.step_series(100, 40, 0.1)
