@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -113,6 +114,12 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def chunk_threads(pool_size: int) -> int:
+    """Threads a chunked run is split across in one of ``pool_size``
+    processes sharing the usable cores: its share of them, at least one."""
+    return max(1, usable_cores() // pool_size)
+
+
 # Processes that share this process's cores: a pool worker is one of the
 # pool's, so that the pool's processes times their chunk threads stay
 # within the usable cores.
@@ -135,7 +142,7 @@ def _helper_threads():
         # Imported here: a run without helper threads never loads it.
         from concurrent.futures import ThreadPoolExecutor
 
-        _helpers = ThreadPoolExecutor(usable_cores() - 1, "repdtc-chunks")
+        _helpers = ThreadPoolExecutor(chunk_threads(_pool_size) - 1, "repdtc-chunks")
     return _helpers
 
 
@@ -163,7 +170,7 @@ def _apply_entries(state, entries, steps, parts) -> None:
 
 def _apply_to_chunks(state, entries, steps) -> None:
     """Apply a run to every chunk (slab of 2**CHUNK_QUBITS amplitudes), on
-    up to one thread per usable core of this process's share.
+    up to ``chunk_threads(pool size)`` threads.
 
     The caller's thread takes the first share of consecutive chunks and
     helper threads the others; the call returns when all have finished.
@@ -172,7 +179,7 @@ def _apply_to_chunks(state, entries, steps) -> None:
     array, which is never rebound, so no thread writes to a stale view.
     """
     chunks = range(state.amplitudes.size >> CHUNK_QUBITS)
-    share = -(-len(chunks) // max(1, usable_cores() // _pool_size))
+    share = -(-len(chunks) // chunk_threads(_pool_size))
     futures = [
         _helper_threads().submit(
             _apply_entries, state, entries, steps, chunks[i : i + share]
@@ -193,7 +200,13 @@ def _apply_to_chunks(state, entries, steps) -> None:
 def _misfit(entry, n_qubits: int) -> str | None:
     """Why ``entry`` cannot run on a register of ``n_qubits``, or None."""
     if isinstance(entry, ISwapRotation):
-        a, b = entry.qubits
+        pair = entry.qubits
+        integers = isinstance(pair, tuple) and len(pair) == 2 and all(
+            isinstance(q, numbers.Integral) and type(q) is not bool for q in pair
+        )
+        if not integers:
+            return f"an iSWAP needs a pair of integer qubits, got {pair!r}"
+        a, b = pair
         if a == b:
             return "an iSWAP needs two distinct qubits"
         if not (0 <= a < n_qubits and 0 <= b < n_qubits):
@@ -222,15 +235,11 @@ class Circuit:
     rewritten, such as gadget sub-circuits, never compile.
 
     On more than ``CHUNK_QUBITS`` qubits, a maximal run of entries below
-    qubit ``CHUNK_QUBITS`` runs one chunk, a slab of 2**CHUNK_QUBITS
-    amplitudes, at a time: every entry of the run on one chunk before the
-    next.  Entries that touch a higher qubit run on the whole register.
-    The chunks of a run are split across min(chunks, usable cores //
-    pool size) threads, which join at the end of the run, so a pool
-    worker on a machine with no more cores than workers stays on one
-    thread.  Every amplitude sees the same multiplies in the same order
-    either way.  An entry that does not fit the register is refused
-    here, before any state is touched.
+    qubit ``CHUNK_QUBITS`` runs one chunk at a time, its chunks split
+    across threads (``_apply_to_chunks``); entries that touch a higher
+    qubit run on the whole register.  Every amplitude sees the same
+    multiplies in the same order either way.  An entry that does not fit
+    the register is refused here, before any state is touched.
     """
 
     n_qubits: int

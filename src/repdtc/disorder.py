@@ -11,22 +11,23 @@ realization instead.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .models import DEFAULT_ALPHA, CnotParams, ModelParams, model_spec
+from .models import (
+    CNOT_SIGNS,
+    DEFAULT_ALPHA,
+    IDEAL_X,
+    IDEAL_ZX,
+    CnotParams,
+    ModelParams,
+    model_spec,
+)
 
 if TYPE_CHECKING:
     from .harness import ExperimentConfig
-
-IDEAL_X = math.pi / 2
-IDEAL_ZX = math.pi / 4
-# Component signs of the ideal transversal CNOT: (zx, z, x).
-CNOT_SIGNS = {"zx": 1.0, "z": -1.0, "x": -1.0}
-
 
 def _purpose_entropy(purpose: str) -> int:
     digest = hashlib.sha256(purpose.encode("utf-8")).digest()

@@ -14,9 +14,9 @@ domain and its file default.  ``load_config_file`` reads through it,
 ``ExperimentConfig`` checks every field against it when it is made, so a
 config that exists is valid and nothing downstream checks it again, with
 one exception: whether the compiler can lower the model at the chosen
-level.  ``run_experiment`` refuses a config it cannot lower (u2n on four
-or more chains at local-gadgets or native-iswap) with a ``ConfigError``
-naming ``lowering``.
+level.  ``_build_realization`` refuses a config it cannot lower (u2n on
+four or more chains at local-gadgets or native-iswap) with a
+``ConfigError`` naming ``lowering``, for every caller.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from .compiler import (
-    CHUNK_QUBITS,
     LOWERING_LEVELS,
     CompilationError,
+    chunk_threads,
     lower_program,
     share_cores,
     usable_cores,
@@ -47,6 +47,8 @@ from .disorder import (
     sample_model_params,
 )
 from .models import (
+    IDEAL_X,
+    IDEAL_ZX,
     MODEL_SPECS,
     ChainLayout,
     build_model,
@@ -64,7 +66,7 @@ from .observables import (
     stroboscopic_run,
     subharmonic_score,
 )
-from .statevector import MAX_QUBITS
+from .statevector import MAX_QUBITS, peak_bytes
 
 MAX_SINGLE_NOISE = 0.005
 MAX_ISWAP_NOISE = 0.04
@@ -424,10 +426,6 @@ _OPTIONAL = {f.name for f in fields(ExperimentConfig) if f.default is None}
 
 # -- presets -----------------------------------------------------------------
 
-_HALF_PI = math.pi / 2
-_QUARTER_PI = math.pi / 4
-
-
 def _fig2_config(name: str, sites: int, description: str) -> ExperimentConfig:
     return ExperimentConfig(
         name=name,
@@ -438,8 +436,8 @@ def _fig2_config(name: str, sites: int, description: str) -> ExperimentConfig:
         cycles=500,
         seed=11,
         coupling_specs=(DisorderSpec(1.5, 0.5), DisorderSpec(2.5, 0.5)),
-        x_spec=DisorderSpec(1.125 * _HALF_PI, 0.025 * _HALF_PI),
-        cnot_spec=DisorderSpec(0.925 * _QUARTER_PI, 0.025 * _QUARTER_PI),
+        x_spec=DisorderSpec(1.125 * IDEAL_X, 0.025 * IDEAL_X),
+        cnot_spec=DisorderSpec(0.925 * IDEAL_ZX, 0.025 * IDEAL_ZX),
         description=description,
     )
 
@@ -536,7 +534,7 @@ def _build_presets() -> dict[str, ExperimentConfig]:
     )
 
     # Zero-disorder runs: unit couplings, ideal gate angles, one realization.
-    cnot = {"cnot_spec": DisorderSpec(_QUARTER_PI)}
+    cnot = {"cnot_spec": DisorderSpec(IDEAL_ZX)}
     scale = {"scale_spec": DisorderSpec(1.0)}
     for model, chains, sites, cycles, specs, what in (
         ("u4", 2, 4, 64, cnot, "period-4 drive; exact 4T response."),
@@ -554,7 +552,7 @@ def _build_presets() -> dict[str, ExperimentConfig]:
             cycles=cycles,
             seed=11,
             coupling_specs=(DisorderSpec(1.0),) * chains,
-            x_spec=DisorderSpec(_HALF_PI),
+            x_spec=DisorderSpec(IDEAL_X),
             description=f"Zero-disorder {what}",
             **specs,
         )
@@ -604,10 +602,17 @@ def describe(name: str) -> str:
 
 
 def _build_realization(config: ExperimentConfig, plan: SeedPlan, realization: int):
-    """(program, circuit) of one realization: sample, build, lower."""
+    """(program, circuit) of one realization: sample, build, lower; a
+    ``ConfigError`` naming ``lowering`` if the compiler cannot lower it."""
     params = sample_model_params(config, plan, realization)
     program = build_model(config.model, config.layout, params)
-    return program, lower_program(program, config.lowering)
+    try:
+        return program, lower_program(program, config.lowering)
+    except CompilationError as exc:
+        raise ConfigError(
+            f"lowering: {config.lowering} cannot lower model {config.model} "
+            f"on {config.chains}x{config.sites}: {exc}"
+        ) from None
 
 
 def estimate_seconds(config: ExperimentConfig, circuit=None) -> float:
@@ -624,34 +629,9 @@ def estimate_seconds(config: ExperimentConfig, circuit=None) -> float:
     return config.realizations * config.cycles * calls * per_call
 
 
-def _peak_bytes(config: ExperimentConfig) -> int:
-    """Memory one realization holds at its peak, known before it runs.
-
-    The state takes 16 bytes per amplitude.  Every other array a run
-    holds is no larger than a chunk of C = 2**CHUNK_QUBITS amplitudes,
-    so none grows with the register or with the qubits read:
-
-    - A flip takes one complex temporary of what it runs on: a register
-      of at most C amplitudes, or a slab of at most C, of which a chunk
-      is one.  A slab spans at least the X/Y axes of its string, and
-      every model and lowering makes strings of at most two X/Y letters.
-      16 C bytes.
-    - An iSWAP copies the |01> and |10> amplitudes of what it runs on,
-      at most C / 2 of them, and takes two products of the copy.  24 C
-      bytes, which cover the flip's.
-    - Each chunk thread holds one such gate's arrays at a time.  There
-      are at most min(chunks, usable cores) threads; entries on the
-      whole register run on the calling thread alone.
-    - A Z readout holds |psi|**2 of one piece of 2**13 amplitudes (or of
-      a smaller register) and the sign vectors of the qubits read so
-      far: one of at most 2**13 entries per qubit below 13, whose first
-      entries serve the qubits from 13 up, and the ones vector.  At most
-      14 vectors whatever is read, so 15 * 2**13 float64s bound it.
-    """
-    chunks = 1 << max(0, config.n_qubits - CHUNK_QUBITS)
-    threads = min(chunks, usable_cores())
-    gates = threads * 24 * (1 << CHUNK_QUBITS)
-    return (16 << config.n_qubits) + gates + 15 * 8 * (1 << 13)
+def _peak_bytes(config: ExperimentConfig, workers: int = 1) -> int:
+    """Peak bytes of one realization in one of ``workers`` processes."""
+    return peak_bytes(config.n_qubits, chunk_threads(workers))
 
 
 def _physical_memory() -> int:
@@ -768,20 +748,14 @@ def run_experiment(
     # No more processes than jobs or usable cores; the pool forks all of
     # them at the first submit, and the output does not depend on them.
     workers = min(workers, config.realizations, usable_cores())
-    need, have = _peak_bytes(config) * workers, _physical_memory()
+    need, have = _peak_bytes(config, workers) * workers, _physical_memory()
     if need > have:
         raise CapacityError(
             f"sites: {config.n_qubits} qubits at {workers} worker(s) need about "
             f"{need / 2**20:.0f} MiB, more than the {have / 2**20:.0f} MiB of "
             "physical memory; use fewer workers or a smaller register"
         )
-    try:
-        program0, circuit0 = _build_realization(config, SeedPlan(config.seed), 0)
-    except CompilationError as exc:
-        raise ConfigError(
-            f"lowering: {config.lowering} cannot lower model {config.model} "
-            f"on {config.chains}x{config.sites}: {exc}"
-        ) from None
+    program0, circuit0 = _build_realization(config, SeedPlan(config.seed), 0)
     estimate = estimate_seconds(config, circuit0)
     if estimate > max_seconds:
         raise CapacityError(

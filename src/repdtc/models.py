@@ -25,6 +25,11 @@ from .compiler import Circuit, RotationGroup
 from .pauli import PauliRotation, PauliString, all_commute
 
 DEFAULT_ALPHA = 1.5  # power-law exponent of the long-range stabilizer
+# Ideal gate angles, shared by every model and detuned by each experiment:
+# the X drive, and a transversal CNOT's (zx, z, x) as signs times IDEAL_ZX.
+IDEAL_X = math.pi / 2
+IDEAL_ZX = math.pi / 4
+CNOT_SIGNS = {"zx": 1.0, "z": -1.0, "x": -1.0}
 
 
 @dataclass(frozen=True)
@@ -89,7 +94,7 @@ class CnotParams:
     """Per-site angles of one transversal CNOT layer.
 
     ``zx`` couples Z(control) X(target); ``z`` and ``x`` are the local
-    compensating fields.  Ideal values are +pi/4, -pi/4, -pi/4.
+    compensating fields, ideally ``CNOT_SIGNS`` times ``IDEAL_ZX``.
     """
 
     zx: np.ndarray
@@ -255,7 +260,7 @@ def build_long_range_stabilizer_layer(
 
 def build_logical_x_layer(layout: ChainLayout, x_field: np.ndarray) -> Layer:
     """exp(-i sum_j h[j] X_j) on chain 0, the chain every model drives;
-    h = pi/2 realizes logical X."""
+    h = IDEAL_X realizes logical X."""
     x_field = np.asarray(x_field, dtype=float)
     if x_field.shape != (layout.sites,):
         raise ValueError("x_field must have one angle per site")
@@ -275,8 +280,8 @@ def build_transversal_cnot_layer(
 ) -> Layer:
     """Sitewise exp(-i [zx Z_c X_t + z Z_c + x X_t]).
 
-    At the ideal angles (+pi/4, -pi/4, -pi/4) each site enacts a CNOT
-    (Z-basis control, X-flip target) up to a global phase.
+    At the ideal angles, ``CNOT_SIGNS`` times ``IDEAL_ZX``, each site
+    enacts a CNOT (Z-basis control, X-flip target) up to a global phase.
     """
     for arr in (params.zx, params.z, params.x):
         if np.asarray(arr).shape != (layout.sites,):
@@ -287,17 +292,10 @@ def build_transversal_cnot_layer(
     rotations = []
     for j in range(layout.sites):
         qc, qt = layout.qubit(control, j), layout.qubit(target, j)
-        rotations.append(
-            PauliRotation(
-                PauliString.from_ops(n, {qc: "Z", qt: "X"}), float(params.zx[j])
-            )
-        )
-        rotations.append(
-            PauliRotation(PauliString.from_ops(n, {qc: "Z"}), float(params.z[j]))
-        )
-        rotations.append(
-            PauliRotation(PauliString.from_ops(n, {qt: "X"}), float(params.x[j]))
-        )
+        terms = ({qc: "Z", qt: "X"}, {qc: "Z"}, {qt: "X"})
+        for ops, angles in zip(terms, (params.zx, params.z, params.x)):
+            pauli = PauliString.from_ops(n, ops)
+            rotations.append(PauliRotation(pauli, float(angles[j])))
     return Layer(f"cnot-{control}-{target}", "cnot", tuple(rotations))
 
 
@@ -477,15 +475,12 @@ def ideal_model_params(
         couplings = np.full((layout.n_chains, layout.sites - 1), float(couplings))
     couplings = np.asarray(couplings, dtype=float)
     sites = layout.sites
-    quarter = math.pi / 4
     ideal_cnot = CnotParams(
-        zx=np.full(sites, quarter),
-        z=np.full(sites, -quarter),
-        x=np.full(sites, -quarter),
+        **{comp: np.full(sites, sign * IDEAL_ZX) for comp, sign in CNOT_SIGNS.items()}
     )
     return ModelParams(
         couplings=couplings,
-        x_field=np.full(sites, math.pi / 2),
+        x_field=np.full(sites, IDEAL_X),
         z_field=z_field,
         cnots=tuple(ideal_cnot for _ in spec.cnots),
         scales=tuple(np.ones(sites) for _ in spec.ladder(layout.n_chains)),

@@ -10,6 +10,7 @@ recorded but stays out of the Fourier window.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,8 +174,8 @@ def subharmonic_lifetime(
     drops below half of the first window's.  A series that never decays
     returns the full windowed span.
     """
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
+    if type(window) is bool or not isinstance(window, numbers.Integral) or window < 1:
+        raise ValueError(f"window must be a positive integer, got {window!r}")
     n_windows = (len(series.values) - 1) // window
     if n_windows < 1:
         raise ValueError("series shorter than one window")

@@ -21,18 +21,12 @@ keeps the reshaped and flipped views of each layout it has run, and the
 quarters of each iSWAP pair, of the one array it holds for its life:
 ``amplitudes`` is written in place, never rebound.  On a register of
 more than 2**15 amplitudes it keeps with them one cut of each view into
-slabs of at most 2**15 amplitudes, along axes
-the gate does not reverse: a gate runs on one slab, or on each in turn,
-so no temporary is larger than a slab.  For a gate below qubit 15
-the slabs are the consecutive 2**15-amplitude chunks of the register,
-on which a compiled circuit runs its gates one cache-sized chunk at a
-time, split across threads.  A Z readout is a BLAS ``ddot`` per
-qubit; above 2**13 amplitudes it runs one 2**13-amplitude piece at a
-time, summed over the pieces in order, so no BLAS thread wakes, the
-bytes do not depend on the BLAS thread count and no array is as long
-as the register.  Each qubit's +-1 vector, of at most 2**13 entries,
-is built when a readout first reads it: reading one qubit of a large
-register builds one vector, not fourteen.
+slabs of at most 2**15 amplitudes (``_slabs``), so no temporary is
+larger than a slab; for a gate below qubit 15 the slabs are the
+register's chunks, on which a compiled circuit runs its gates a chunk
+at a time, split across threads.  A Z readout is a BLAS ``ddot`` per
+qubit, piece by piece above 2**13 amplitudes (``_z_sums``).
+``peak_bytes`` bounds what a register holds.
 """
 
 from __future__ import annotations
@@ -65,6 +59,27 @@ CHUNK_QUBITS = 15
 # below OpenBLAS's threading cutoff (10,000 elements).
 _PIECE_QUBITS = 13
 _READOUT_PIECE = 1 << _PIECE_QUBITS
+
+
+def peak_bytes(n_qubits: int, threads: int) -> int:
+    """Bytes a register of ``n_qubits`` holds at its peak, its chunked
+    runs split across up to ``threads`` threads.
+
+    Beside the state, 16 bytes per amplitude, no array grows with the
+    register or with the qubits read.  A gate runs on a register or slab
+    of at most C = 2**CHUNK_QUBITS amplitudes: a flip takes one complex
+    temporary of it (every model and lowering makes strings of at most
+    two X/Y letters, which a slab spans), 16 C bytes, and an iSWAP
+    copies its at most C / 2 |01> and |10> amplitudes and takes two
+    products of the copy, 24 C bytes.  Each thread, at most one per
+    chunk, holds one gate's arrays at a time.  A Z readout holds
+    |psi|**2 of one piece and at most _PIECE_QUBITS + 1 sign vectors of
+    a piece each (``_z_sums``).
+    """
+    chunks = 1 << max(0, n_qubits - CHUNK_QUBITS)
+    gate = 3 * 16 * (1 << (CHUNK_QUBITS - 1))  # the iSWAP's copy and products
+    readout = (_PIECE_QUBITS + 2) * 8 * _READOUT_PIECE
+    return (16 << n_qubits) + min(chunks, threads) * gate + readout
 
 
 @functools.lru_cache(maxsize=None)

@@ -529,6 +529,9 @@ class TestCircuitRegister:
         [
             (ISwapRotation((0, 5), QUARTER), "outside a register of 3"),
             (ISwapRotation((1, 1), QUARTER), "two distinct qubits"),
+            (ISwapRotation((0, 1.5), QUARTER), "pair of integer qubits"),
+            (ISwapRotation((0, 1, 2), QUARTER), "pair of integer qubits"),
+            (ISwapRotation((True, 2), QUARTER), "pair of integer qubits"),
             (PauliRotation(PauliString.from_ops(4, {0: "Z"}), 0.2), "4-qubit"),
         ],
     )

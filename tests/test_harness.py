@@ -1,6 +1,7 @@
 import concurrent.futures
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -307,6 +308,26 @@ class TestEstimate:
         ten = estimate_seconds(small_config(realizations=10))
         assert one > 0
         assert ten == pytest.approx(10 * one)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            estimate_seconds,
+            lambda cfg: run_experiment(cfg),
+            lambda cfg: run_realization(cfg, 0),
+        ],
+        ids=["estimate_seconds", "run_experiment", "run_realization"],
+    )
+    def test_unlowerable_config_is_one_named_error(self, call):
+        # u2n on four chains has CCCNOT terms that no gadget walk lowers.
+        cfg = replace(
+            PRESETS["ideal-u2n"],
+            chains=4,
+            coupling_specs=(DisorderSpec(1.0),) * 4,
+            lowering="local-gadgets",
+        )
+        with pytest.raises(ConfigError, match="^lowering: local-gadgets cannot lower"):
+            call(cfg)
 
 
 CONFIG_TEXT = """\
@@ -746,12 +767,24 @@ class TestDeterminism:
         assert peak < 80 << 20
 
     def test_peak_bytes_do_not_grow_with_the_qubits_read(self, monkeypatch):
-        monkeypatch.setattr(harness, "usable_cores", lambda: 2)
+        monkeypatch.setattr(compiler, "usable_cores", lambda: 2)
         for sites in (4, 10):
             cfg = replace(PRESETS["fig2a"], sites=sites)
             one = harness._peak_bytes(replace(cfg, measure_qubit=0))
             assert harness._peak_bytes(cfg) == one
             assert one < (16 << cfg.n_qubits) + (4 << 20)
+
+    @pytest.mark.parametrize("cores", [1, 2, 8])
+    def test_peak_bytes_count_each_workers_chunk_threads(self, monkeypatch, cores):
+        # One thread rule for the chunked runs and the memory count: a
+        # worker of a pool of w runs max(1, cores // w) chunk threads.
+        monkeypatch.setattr(compiler, "usable_cores", lambda: cores)
+        configs = [*PRESETS.values(), replace(PRESETS["fig2a"], sites=10)]
+        for cfg, workers in itertools.product(configs, (1, 2)):
+            chunks = 1 << max(0, cfg.n_qubits - 15)
+            threads = min(chunks, max(1, cores // workers))
+            want = (16 << cfg.n_qubits) + threads * 24 * 2**15 + 15 * 8 * 2**13
+            assert harness._peak_bytes(cfg, workers) == want, (cfg.name, workers)
 
     def test_blas_thread_count_leaves_16_qubit_bytes_alone(self):
         code = (

@@ -328,6 +328,17 @@ class TestSubharmonicLifetime:
         with pytest.raises(ValueError, match="window"):
             subharmonic_lifetime(series, (math.pi,), window=window)
 
+    @pytest.mark.parametrize("window", [2.5, 20.0, True, "20", None])
+    def test_window_that_is_not_an_integer_rejected(self, window):
+        # True would run as a 1-cycle window, 2.5 would reach range().
+        series = self.step_series(100, 40, 0.1)
+        with pytest.raises(ValueError, match="window must be a positive integer"):
+            subharmonic_lifetime(series, (math.pi,), window=window)
+
+    def test_numpy_integer_window_accepted(self):
+        series = self.step_series(100, 40, 0.1)
+        assert subharmonic_lifetime(series, (math.pi,), window=np.int64(20)) == 40
+
     def test_one_cycle_window_has_no_spectrum(self):
         series = self.step_series(100, 40, 0.1)
         with pytest.raises(ValueError, match="at least two recorded cycles"):
